@@ -255,35 +255,163 @@ def insert_minimal(
     return basis
 
 
-def pareto_min(vectors: Iterable[Sequence[int]]) -> BasisList:
-    """Minimal elements of a vector set under componentwise dominance.
+def pareto_min(
+    vectors: Iterable[Sequence[int]], deadline: Deadline | None = None
+) -> BasisList:
+    """Minimal elements of a vector set under componentwise dominance, sorted.
 
-    Candidates are deduplicated and processed in ascending coordinate-sum
-    order, so kept vectors can never be evicted later.
+    Candidates are deduplicated and swept in ascending coordinate-sum order.
+    Two distinct vectors with the same sum cannot dominate each other, so a
+    kept vector is never evicted later.  Up to 512 distinct vectors a Python
+    loop tests them one at a time, which suits the many tiny calls of the
+    oracle and the solvers.  Above that, the sweep takes the vectors in
+    batches: one vectorized pass tests a batch against a
+    :class:`DominanceIndex` of the vectors kept so far, survivors of
+    different sums within the batch are compared with each other, and the
+    rest join the index.  ``deadline`` is checked once per batch.
     """
-    uniq = sorted({tuple(v) for v in vectors}, key=lambda v: (sum(v), v))
+    uniq = {tuple(v) for v in vectors}
     if len(uniq) > 512:
-        return _pareto_min_numpy(uniq)
+        return _pareto_min_numpy(uniq, deadline)
     kept: BasisList = []
-    for v in uniq:
+    for v in sorted(uniq, key=lambda v: (sum(v), v)):
         if not any(dominated_or_equal(k, v) for k in kept):
             kept.append(v)
     kept.sort()
     return kept
 
 
-def _pareto_min_numpy(uniq: list[Solution]) -> BasisList:
-    arr = np.asarray(uniq, dtype=np.int64)
-    m, n = arr.shape
-    kept = np.empty((m, n), dtype=np.int64)
+# Rows swept per index test and insert.  An insert costs a pass over the
+# value axis whatever it adds, so batches share it among many vectors.
+_SWEEP_ROWS = 128
+# Bound on the candidates x words x 8 B temporary of one dominance test.
+_TEST_CHUNK_BYTES = 1 << 23
+# Largest bitset index one pareto_min call may build.
+_INDEX_BYTES = 1 << 28
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+# Inserts of at most this many vectors take the per-vector loop, whose cost
+# grows with the batch; larger ones pay the fixed cost of one vectorized pass.
+_LOOP_ROWS = 2
+
+
+def _pareto_min_numpy(uniq: set[Solution], deadline: Deadline | None) -> BasisList:
+    n = len(next(iter(uniq)))
+    flat = itertools.chain.from_iterable(uniq)
+    arr = np.fromiter(flat, dtype=np.int64, count=n * len(uniq)).reshape(-1, n)
+    sums = arr.sum(axis=1)
+    order = np.argsort(sums, kind="stable")
+    arr, sums = arr[order], sums[order]
+    # Dominance only compares values within a column, so per-column ranks
+    # keep the index as small as the number of distinct values.
+    ranks = np.empty(arr.shape, dtype=np.intp)
+    for k in range(n):
+        ranks[:, k] = np.unique(arr[:, k], return_inverse=True)[1]
+    size = int(ranks.max()) + 1
+    # The index takes n * size bits per kept vector, up to twice that with
+    # the slack of its geometric growth.  If keeping every vector could
+    # overrun the budget, test row by row in memory for the rows alone.
+    if n * size * len(arr) // 4 > _INDEX_BYTES:
+        return _sorted_tuples(_pareto_min_rows(arr, deadline))
+    index = DominanceIndex(n, size)
+    keep = np.zeros(len(arr), dtype=bool)
+    for lo in range(0, len(arr), _SWEEP_ROWS):
+        if deadline is not None:
+            deadline.check()
+        hi = min(lo + _SWEEP_ROWS, len(arr))
+        batch = ranks[lo:hi]
+        fresh = ~index.any_dominator(batch)
+        if sums[lo] != sums[hi - 1]:
+            # Rows of smaller sum in the same batch may bound later ones;
+            # rows are distinct, so <= here is strict dominance.
+            rows = np.flatnonzero(fresh)
+            sub = batch[rows].T
+            below = sub[0, :, None] <= sub[0]
+            for col in sub[1:]:
+                below &= col[:, None] <= col
+            np.fill_diagonal(below, False)
+            fresh[rows[below.any(axis=0)]] = False
+        keep[lo:hi] = fresh
+        index.add(batch[fresh])
+    return _sorted_tuples(arr[keep])
+
+
+def _pareto_min_rows(arr: np.ndarray, deadline: Deadline | None) -> np.ndarray:
+    """Minimal rows of a sum-sorted, duplicate-free array, one row at a time."""
+    kept = np.empty_like(arr)
     count = 0
-    for row in range(m):
-        v = arr[row]
+    for row, v in enumerate(arr):
+        if deadline is not None and row % _SWEEP_ROWS == 0:
+            deadline.check()
         if count and bool((kept[:count] <= v).all(axis=1).any()):
             continue
         kept[count] = v
         count += 1
-    return sorted(tuple(r) for r in kept[:count].tolist())
+    return kept[:count]
+
+
+def _sorted_tuples(arr: np.ndarray) -> BasisList:
+    return [tuple(row) for row in arr[np.lexsort(arr.T[::-1])].tolist()]
+
+
+class DominanceIndex:
+    """Bitset index over a growing set of vectors for batched dominance tests.
+
+    Coordinates are value indices in ``range(size)``: the values themselves
+    when they are small, or per-column ranks.  For every coordinate k and
+    value v a bitset marks the indexed vectors whose k-th coordinate is at
+    most v; ANDing the rows a candidate selects leaves exactly the indexed
+    vectors that are dominated by or equal to it.
+    """
+
+    def __init__(self, n: int, size: int):
+        self.count = 0
+        self.masks = np.zeros((n, size, 1), dtype=np.uint64)
+
+    def add(self, rows: np.ndarray) -> None:
+        """Index the vectors in ``rows`` (one per row)."""
+        if not len(rows):
+            return
+        n, size, capacity = self.masks.shape
+        ids = np.arange(self.count, self.count + len(rows))
+        first = self.count >> 6
+        stop = int(ids[-1] >> 6) + 1
+        if stop > capacity:
+            grown = np.zeros((n, size, max(stop, 2 * capacity)), dtype=np.uint64)
+            grown[:, :, :capacity] = self.masks
+            self.masks = grown
+        if len(rows) <= _LOOP_ROWS:
+            # A few vectors: carry each bit up the value axis directly.
+            for i, row in enumerate(rows.tolist(), self.count):
+                for k, v in enumerate(row):
+                    self.masks[k, v:, i >> 6] |= _BIT[i & 63]
+        else:
+            # The masks are already cumulative along the value axis, so it is
+            # enough to set each new bit at its vector's own value and rerun
+            # the cumulative OR over the words the new bits land in.
+            np.bitwise_or.at(
+                self.masks,
+                (np.arange(n), rows, (ids >> 6)[:, None]),
+                _BIT[ids & 63, None],
+            )
+            touched = self.masks[:, :, first:stop]
+            np.bitwise_or.accumulate(touched, axis=1, out=touched)
+        self.count += len(rows)
+
+    def any_dominator(self, cands: np.ndarray) -> np.ndarray:
+        """Per candidate row: is some indexed vector dominated by or equal to it?"""
+        if not self.count or not len(cands):
+            return np.zeros(len(cands), dtype=bool)
+        words = (self.count + 63) >> 6
+        masks = self.masks[:, :, :words]
+        step = max(1, _TEST_CHUNK_BYTES // (8 * words))
+        hits = []
+        for lo in range(0, len(cands), step):
+            chunk = cands[lo : lo + step]
+            acc = masks[0, chunk[:, 0]]
+            for k in range(1, len(masks)):
+                acc &= masks[k, chunk[:, k]]
+            hits.append(acc.any(axis=1))
+        return hits[0] if len(hits) == 1 else np.concatenate(hits)
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:

@@ -25,6 +25,7 @@ import numpy as np
 from .core import (
     BasisList,
     Deadline,
+    DominanceIndex,
     Equation,
     InsertStats,
     ResourceLimitError,
@@ -92,47 +93,6 @@ def render_adjacency(graph: DefectGraph) -> str:
     return "\n".join(lines)
 
 
-class _DominanceIndex:
-    """Bitset index over found solutions for batched dominance tests.
-
-    For every coordinate k and value v a bitset marks the solutions whose
-    k-th coordinate is at most v; ANDing the per-coordinate rows selected by
-    a candidate leaves exactly the solutions bounded by it.  Candidates'
-    coordinates must stay within ``max_value`` (the side-sum caps guarantee
-    that here).
-    """
-
-    def __init__(self, n: int, max_value: int):
-        self.n = n
-        self.max_value = max_value
-        self.count = 0
-        self.masks = np.zeros((n, max_value + 1, 1), dtype=np.uint64)
-
-    def add(self, sols: np.ndarray) -> None:
-        need_words = (self.count + len(sols) + 63) // 64
-        if need_words > self.masks.shape[2]:
-            grown = np.zeros(
-                (self.n, self.max_value + 1, need_words), dtype=np.uint64
-            )
-            grown[:, :, : self.masks.shape[2]] = self.masks
-            self.masks = grown
-        for row in sols.tolist():
-            word, bit = divmod(self.count, 64)
-            flag = np.uint64(1 << bit)
-            for k, v in enumerate(row):
-                self.masks[k, v:, word] |= flag
-            self.count += 1
-
-    def any_dominator(self, cands: np.ndarray) -> np.ndarray:
-        """Per candidate row: does any indexed solution fit under it?"""
-        if self.count == 0 or not len(cands):
-            return np.zeros(len(cands), dtype=bool)
-        acc = self.masks[0, cands[:, 0], :]
-        for k in range(1, self.n):
-            acc &= self.masks[k, cands[:, k], :]
-        return acc.any(axis=1)
-
-
 @dataclass
 class GraphStats:
     levels: int = 0
@@ -191,7 +151,8 @@ def graph_solve_weights(
     nodes = table[zero_idx, order]
 
     solutions: list[Solution] = []
-    index = _DominanceIndex(n, max(w.max_a, w.max_b))
+    # The side-sum caps keep every coordinate within max(max_a, max_b).
+    index = DominanceIndex(n, max(w.max_a, w.max_b) + 1)
 
     while len(frontier):
         if deadline is not None:

@@ -9,8 +9,10 @@ end, which also absorbs the degenerate seed cases.
 
 For residuals a*x = b*y + c*z + v with v != 0 (they appear once the wrapper
 enumerates the other unknowns) the generation is not covered by the direct
-construction; a congruence scan solves b*y + c*z = -v (mod a) per z with the
-smallest admissible y, which is slower but oracle-checkable.
+construction.  A congruence scan solves b*y + c*z = -v (mod a) per z with the
+smallest admissible y, and keeps a triple only when its y undercuts every
+earlier one, so the residual's minimal solutions come out as a staircase
+with no Pareto filtering (Filgueiras & Tomas, J. Symbolic Computation 1995).
 """
 
 from __future__ import annotations
@@ -114,11 +116,15 @@ def solve3_general(
 ) -> BasisList:
     """Minimal natural solutions of a*x = b*y + c*z + v by congruence scan.
 
-    Iterates z, solves b*y = -v - c*z (mod a) for the smallest admissible y
-    (larger congruent y only raise x, so they are dominated), and Pareto
-    filters.  Unsolvable congruence classes contribute nothing.  With v = 0
-    this reproduces ``slopes3``.  Optional caps restrict x and y+z, e.g. to
-    the per-side budgets of an enclosing equation.
+    Iterates z upwards and solves b*y = -v - c*z (mod a) for the smallest
+    admissible y; larger congruent y only raise x, so they are dominated.
+    Since x rises with both y and z, a triple is dominated by an earlier one
+    exactly when that one's y is no larger.  The scan therefore keeps a
+    triple only when its y is below the running minimum, which yields the
+    staircase of minimal solutions without any Pareto filtering.
+    Unsolvable congruence classes contribute nothing.  With v = 0 this
+    reproduces ``slopes3``.  Optional caps restrict x and y+z, e.g. to the
+    per-side budgets of an enclosing equation.
     """
     if min(a, b, c) < 1:
         raise ValueError("coefficients must be >= 1")
@@ -135,7 +141,8 @@ def solve3_general(
     bg = (b // g) % step
     inv = ext_gcd(bg, step)[1] % step if step > 1 else 0
 
-    candidates: list[Solution] = []
+    staircase: list[Solution] = []
+    y_min = None
     for z in range(z_top + 1):
         rhs = -v - c * z
         if rhs % g:
@@ -148,13 +155,22 @@ def solve3_general(
                 y += -((y - y_floor) // step) * step
         if v == 0 and z == 0 and y == 0:
             y += step  # skip the all-zero vector
+        if y_min is not None and y >= y_min:
+            continue
+        # Only triples within the caps set the running minimum.  (Both caps
+        # grow with y and z, so a dropped triple also rules out every later
+        # one it would have dominated.)
         if yz_cap is not None and y + z > yz_cap:
             continue
         x = _exact_x(b * y + c * z + v, a)
         if x_cap is not None and x > x_cap:
             continue
-        candidates.append((x, y, z))
-    return pareto_min(candidates)
+        staircase.append((x, y, z))
+        y_min = y
+        if y == 0:
+            break
+    staircase.sort()
+    return staircase
 
 
 @dataclass
@@ -226,6 +242,8 @@ def slopes_solve_weights(
     assigned = [0] * n
 
     def solve_tail(d: int, pos_budget: int, neg_budget: int) -> None:
+        if deadline is not None:
+            deadline.check()
         v = -d
         if v == 0:
             stats.residuals_direct += 1
@@ -279,4 +297,4 @@ def slopes_solve_weights(
         assigned[pos] = 0
 
     walk(0, 0, w.max_b, w.max_a)
-    return pareto_min(candidates)
+    return pareto_min(candidates, deadline)

@@ -1,19 +1,23 @@
 """Core types, dominance machinery, shared arithmetic, and the oracle."""
 
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diobasis import core
 from diobasis.core import (
     COEFFICIENT_LIMIT,
     Bounds,
     CoefficientRangeError,
+    Deadline,
     Equation,
     EquationFormatError,
     InsertStats,
     OracleBoxError,
+    TimeLimitError,
     WeightVector,
     bounds,
     build_weights,
@@ -161,6 +165,15 @@ class TestInsertMinimal:
         assert basis == sorted(basis)
 
 
+def pareto_reference(vecs):
+    """One vector at a time in ascending sum: the Python path at any size."""
+    kept = []
+    for v in sorted(set(vecs), key=lambda v: (sum(v), v)):
+        if not any(dominated_or_equal(k, v) for k in kept):
+            kept.append(v)
+    return sorted(kept)
+
+
 class TestParetoMin:
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), max_size=40))
     def test_minimal_and_covering(self, vecs):
@@ -172,12 +185,56 @@ class TestParetoMin:
 
     def test_numpy_path_matches_small_path(self):
         vecs = [(i % 7, (i * 3) % 5, (i * 5) % 11) for i in range(700)]
-        big = pareto_min(vecs)
-        small = []
-        for v in sorted(set(vecs), key=lambda v: (sum(v), v)):
-            if not any(dominated_or_equal(k, v) for k in small):
-                small.append(v)
-        assert big == sorted(small)
+        assert pareto_min(vecs) == pareto_reference(vecs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 6),
+        top=st.sampled_from([3, 60, 2**20]),
+        count=st.integers(513, 900),
+        duplicates=st.integers(0, 200),
+        front=st.integers(0, 200),
+    )
+    @example(seed=1, n=3, top=2**20, count=600, duplicates=50, front=200)
+    @example(seed=2, n=5, top=3, count=900, duplicates=200, front=150)
+    def test_numpy_path_matches_python_path(self, seed, n, top, count, duplicates, front):
+        # A random cloud (top 3: many duplicates and crowded equal-sum
+        # groups; top 2**20: rank compression) plus an antichain of
+        # ``front`` vectors that the cloud never dominates, so over 128
+        # vectors are kept and the index grows its word count twice.  Only
+        # antichain members i - 1 and i dominate shadow i, so dominators
+        # sit in every word of the index.
+        rng = random.Random(seed)
+        cloud = [
+            tuple(rng.randint(0, top) for _ in range(2))
+            + tuple(rng.randint(1, top) for _ in range(n - 2))
+            for _ in range(count)
+        ]
+        antichain = [(i, front - i) + (0,) * (n - 2) for i in range(front)]
+        shadows = [(i, front - i + 1) + (0,) * (n - 2) for i in range(front)]
+        vecs = cloud + antichain + shadows + rng.choices(cloud, k=duplicates)
+        rng.shuffle(vecs)
+        if len(set(vecs)) <= 512:
+            vecs += [(2**20 - i, i) + (2**20,) * (n - 2) for i in range(513)]
+        got = pareto_min(vecs)
+        assert got == pareto_reference(vecs)
+        assert set(antichain) <= set(got)
+        assert not set(shadows) & set(got)
+
+    def test_row_path_matches_python_path(self, monkeypatch):
+        # Past the index budget the sweep tests one row at a time.
+        monkeypatch.setattr(core, "_INDEX_BYTES", 0)
+        vecs = [(i % 7, (i * 3) % 5, (i * 5) % 11) for i in range(700)]
+        vecs += [(i, 300 - i, 0) for i in range(300)]
+        assert pareto_min(vecs) == pareto_reference(vecs)
+
+    @pytest.mark.parametrize("budget", [core._INDEX_BYTES, 0], ids=["index", "rows"])
+    def test_numpy_path_honours_deadline(self, monkeypatch, budget):
+        monkeypatch.setattr(core, "_INDEX_BYTES", budget)
+        vecs = [(i, 600 - i) for i in range(600)]
+        with pytest.raises(TimeLimitError):
+            pareto_min(vecs, deadline=Deadline(-1.0))
 
 
 class TestBounds:

@@ -2,10 +2,20 @@
 
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diobasis.core import Equation, dominated_or_equal, oracle_basis, pareto_min
+from diobasis.core import (
+    Equation,
+    TimeLimitError,
+    dominated_or_equal,
+    ext_gcd,
+    oracle_basis,
+    pareto_min,
+)
 from diobasis.graph import graph_solve
 from diobasis.slopes import (
     multiplier,
@@ -27,6 +37,41 @@ def brute3(a, b, c, v, lim):
                 if (x, y, rest // c) != (0, 0, 0):
                     sols.append((x, y, rest // c))
     return pareto_min(sols)
+
+
+def scan3_reference(a, b, c, v, x_cap=None, yz_cap=None):
+    """Congruence scan then Pareto filter: the reference that
+    ``solve3_general``'s running-minimum staircase must reproduce."""
+    period = a // math.gcd(a, c)
+    z_top = period + (-(v // c) if v < 0 else 0)
+    if yz_cap is not None:
+        z_top = min(z_top, yz_cap)
+
+    g = math.gcd(b, a)
+    step = a // g
+    bg = (b // g) % step
+    inv = ext_gcd(bg, step)[1] % step if step > 1 else 0
+
+    candidates = []
+    for z in range(z_top + 1):
+        rhs = -v - c * z
+        if rhs % g:
+            continue
+        y = ((rhs // g) % step) * inv % step if step > 1 else 0
+        if rhs > 0:
+            y_floor = -((-rhs) // b)
+            if y < y_floor:
+                y += -((y - y_floor) // step) * step
+        if v == 0 and z == 0 and y == 0:
+            y += step
+        if yz_cap is not None and y + z > yz_cap:
+            continue
+        x, r = divmod(b * y + c * z + v, a)
+        assert r == 0
+        if x_cap is not None and x > x_cap:
+            continue
+        candidates.append((x, y, z))
+    return pareto_min(candidates)
 
 
 class TestMultiplier:
@@ -114,6 +159,19 @@ class TestSolve3General:
                 assert (b * y + c * z + v) % a == 0
                 assert a * x == b * y + c * z + v
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 60),
+        st.integers(1, 60),
+        st.integers(-200, 200),
+        st.none() | st.integers(0, 120),
+        st.none() | st.integers(0, 120),
+    )
+    def test_staircase_matches_filtered_scan(self, a, b, c, v, x_cap, yz_cap):
+        got = solve3_general(a, b, c, v, x_cap=x_cap, yz_cap=yz_cap)
+        assert got == scan3_reference(a, b, c, v, x_cap=x_cap, yz_cap=yz_cap)
+
     def test_caps_restrict_output(self):
         full = solve3_general(5, 3, 2, 0)
         capped = solve3_general(5, 3, 2, 0, x_cap=2, yz_cap=5)
@@ -143,6 +201,25 @@ class TestSlopesSolve:
             rhs = tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 3)))
             eq = Equation(lhs, rhs)
             assert slopes_solve(eq) == graph_solve(eq), eq.text()
+
+
+class TestSlopesLimits:
+    HARD = Equation((1021,), (1020, 1019, 1018))
+
+    # One enumerated unknown, so the walk makes few prefixes, each followed
+    # by a residual scan over a full period of c*z mod a (10 ms at a = 20011).
+    @pytest.mark.parametrize(
+        "eq", [HARD, Equation((20011,), (20010, 20009, 20008))], ids=Equation.text
+    )
+    def test_time_limit_is_honoured(self, eq):
+        start = time.perf_counter()
+        with pytest.raises(TimeLimitError):
+            slopes_solve(eq, time_limit=0.3)
+        assert time.perf_counter() - start < 0.3 + 0.5
+
+    @pytest.mark.slow
+    def test_hard_case_finishes_within_its_limit(self):
+        assert len(slopes_solve(self.HARD, time_limit=60)) == 87384
 
 
 class TestSlopesSetup:
