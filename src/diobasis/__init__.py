@@ -43,8 +43,7 @@ from .lex import (
     TailKind,
     lex_solve,
     lex_solve_weights,
-    tail_solve_one,
-    tail_solve_two,
+    tail_solve,
 )
 from .completion import (
     CompletionStats,

@@ -33,7 +33,7 @@ from . import __version__
 from .completion import completion_solve
 from .core import BasisList, DiobasisError, Equation, TimeLimitError
 from .graph import graph_solve
-from .lex import BoundKind, LexVariant, TailKind, lex_solve
+from .lex import lex_solve
 from .slopes import slopes_solve
 
 A_VALUES = (2, 3, 5, 13, 29, 39, 107, 503, 1021)
@@ -257,29 +257,20 @@ def score_class(
     return ClassScore(pa, pb)
 
 
-def internal_solver(
-    name: str,
-    *,
-    bound: BoundKind = BoundKind.LAMBERT,
-    tail: TailKind = TailKind.LAST_ONE,
-) -> Callable[..., BasisList]:
-    """Resolve an algorithm name to a ``solve(eq, time_limit=...)`` callable."""
-    if name == "lex":
-        variant = LexVariant(bound, tail)
-        return lambda eq, time_limit=None: lex_solve(eq, variant, time_limit=time_limit)
-    if name == "completion":
-        return lambda eq, time_limit=None: completion_solve(eq, time_limit=time_limit)
-    if name == "graph":
-        return lambda eq, time_limit=None: graph_solve(eq, time_limit=time_limit)
-    if name == "slopes":
-        return lambda eq, time_limit=None: slopes_solve(eq, time_limit=time_limit)
-    raise ValueError(f"unknown algorithm {name!r}")
+# Algorithm name -> ``solve(eq, *, time_limit=...)``; ``lex_solve`` also
+# takes ``variant=``.
+SOLVERS: dict[str, Callable[..., BasisList]] = {
+    "lex": lex_solve,
+    "completion": completion_solve,
+    "graph": graph_solve,
+    "slopes": slopes_solve,
+}
 
 
-def make_internal_runner(name: str, **variant) -> Runner:
+def make_internal_runner(name: str) -> Runner:
     """In-process runner: no spawn noise; the timeout is enforced
     cooperatively at the solvers' safe points."""
-    solve = internal_solver(name, **variant)
+    solve = SOLVERS[name]
 
     def run(eq: Equation, timeout_s: float) -> RunOutcome:
         start = time.perf_counter()

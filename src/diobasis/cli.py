@@ -11,8 +11,8 @@ from pathlib import Path
 from . import __version__
 from .acu import basis_to_unifier, equation_to_problem, format_unifier, verify_unifier
 from .bench import (
+    SOLVERS,
     TimingPolicy,
-    internal_solver,
     make_internal_runner,
     make_subprocess_runner,
     generate_class,
@@ -31,10 +31,8 @@ from .core import (
     parse_equation,
 )
 from .graph import build_defect_graph, render_adjacency
-from .lex import BoundKind, TailKind
+from .lex import BoundKind, LexVariant, TailKind
 from .slopes import slopes3
-
-ALGORITHMS = ("lex", "completion", "graph", "slopes")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="compute the basis of one equation")
     add_equation_input(solve)
-    solve.add_argument("--algo", choices=ALGORITHMS, default="graph")
+    solve.add_argument("--algo", choices=SOLVERS, default="graph")
     solve.add_argument("--bound", choices=[b.value for b in BoundKind], default="lambert",
                        help="bound flavor for --algo lex")
     solve.add_argument("--tail", choices=[t.value for t in TailKind], default="one",
@@ -86,8 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--epsilon", type=float, default=0.01,
                        help="tie threshold in seconds for the epsilon table")
     bench.add_argument("--out", default="bench-out", metavar="DIR")
-    bench.add_argument("--algo-a", choices=ALGORITHMS, default="graph")
-    bench.add_argument("--algo-b", choices=ALGORITHMS, default="slopes")
+    bench.add_argument("--algo-a", choices=SOLVERS, default="graph")
+    bench.add_argument("--algo-b", choices=SOLVERS, default="slopes")
     bench.add_argument("--exec", dest="exec_path", metavar="PATH",
                        help="external solver executable standing in for algorithm B; "
                             "reads one equation on stdin, prints basis lines")
@@ -98,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     unify = sub.add_parser("unify", help="build and check the ACU unifier of an equation")
     add_equation_input(unify)
-    unify.add_argument("--algo", choices=ALGORITHMS, default="graph")
+    unify.add_argument("--algo", choices=SOLVERS, default="graph")
     unify.add_argument("--format", choices=("text", "json"), default="text")
     unify.add_argument("--time-limit", type=float, default=None, metavar="S")
 
@@ -123,9 +121,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     eq = _read_equation(args)
     if args.emit_graph:
         Path(args.emit_graph).write_text(render_adjacency(build_defect_graph(eq.weights())) + "\n")
-    solve = internal_solver(args.algo, bound=BoundKind(args.bound), tail=TailKind(args.tail))
+    options = {}
+    if args.algo == "lex":
+        options["variant"] = LexVariant(BoundKind(args.bound), TailKind(args.tail))
     start = time.perf_counter()
-    basis = solve(eq, time_limit=args.time_limit)
+    basis = SOLVERS[args.algo](eq, time_limit=args.time_limit, **options)
     elapsed = time.perf_counter() - start
     if args.format == "json":
         payload = {
@@ -151,8 +151,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     eq = _read_equation(args)
     results = {
-        name: internal_solver(name)(eq, time_limit=args.time_limit)
-        for name in ALGORITHMS
+        name: solve(eq, time_limit=args.time_limit)
+        for name, solve in SOLVERS.items()
     }
     oracle_used = True
     try:
@@ -227,7 +227,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_unify(args: argparse.Namespace) -> int:
     eq = _read_equation(args)
     problem = equation_to_problem(eq)
-    basis = internal_solver(args.algo)(eq, time_limit=args.time_limit)
+    basis = SOLVERS[args.algo](eq, time_limit=args.time_limit)
     unifier = basis_to_unifier(problem, basis)
     sound = verify_unifier(problem, unifier)
     if args.format == "json":

@@ -159,7 +159,6 @@ def completion_solve_weights(
     *,
     stats: CompletionStats | None = None,
     time_limit: float | None = None,
-    strict: bool = True,
 ) -> BasisList:
     if not w.has_both_signs:
         return []
@@ -172,7 +171,7 @@ def completion_solve_weights(
             deadline.check()
         if stats:
             stats.levels += 1
-        emissions, pset = completion_step(w, pset, basis, stats=stats, strict=strict)
+        emissions, pset = completion_step(w, pset, basis, stats=stats, strict=True)
         for sol in emissions:
             insert_minimal(basis, sol, insert_stats)
     return basis

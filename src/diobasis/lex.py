@@ -6,6 +6,10 @@ stronger per-side running-sum caps.  Two tail flavors decide where the
 enumeration stops: the last unknown is forced by divisibility, or the last
 two are solved as a bounded two-variable linear equation via the extended
 Euclidean parametrization.
+
+The budgeted walk, ``prefix_walk``, takes the positions to enumerate in order,
+a tail length and a leaf callback; the slopes solver enumerates with it too,
+leaving three positions to its own tail.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .core import (
     BasisList,
@@ -88,183 +92,173 @@ def lex_solve_weights(
     if not w.has_both_signs:
         return []
     stats = stats if stats is not None else LexStats()
-    deadline = Deadline.maybe(time_limit)
-
-    weights = w.w
-    n = len(weights)
-    max_a, max_b = w.max_a, w.max_b
-    lambert = variant.bound is BoundKind.LAMBERT
-    tail_count = 1 if variant.tail is TailKind.LAST_ONE else 2
-    tail_start = n - tail_count
-
-    # Per-coordinate caps; positive-weight positions are bounded by the
-    # largest opposing coefficient and vice versa.
-    huet_cap = [max_b if wi > 0 else max_a for wi in weights]
-
-    # Suffix feasibility envelopes for the per-coordinate variant: the most
-    # the remaining positions (p..n-1) can add to / subtract from the defect.
-    huet_hi = [0] * (n + 1)
-    huet_lo = [0] * (n + 1)
-    for p in range(n - 1, -1, -1):
-        wi = weights[p]
-        huet_hi[p] = huet_hi[p + 1] + (wi * max_b if wi > 0 else 0)
-        huet_lo[p] = huet_lo[p + 1] + (wi * max_a if wi < 0 else 0)
-    # Largest weight magnitude per sign over the suffix, for the budgeted
-    # variant's envelopes (budget * largest weight still placeable).
-    max_pos_from = [0] * (n + 1)
-    max_neg_from = [0] * (n + 1)
-    for p in range(n - 1, -1, -1):
-        wi = weights[p]
-        max_pos_from[p] = max(max_pos_from[p + 1], wi if wi > 0 else 0)
-        max_neg_from[p] = max(max_neg_from[p + 1], -wi if wi < 0 else 0)
-
     basis: BasisList = []
-    prefix = [0] * n
 
     def emit(vector: Solution) -> None:
         stats.emissions += 1
         insert_minimal(basis, vector, stats.insert)
 
-    def finish_one(d: int, pos_budget: int, neg_budget: int, nonzero: bool) -> None:
-        t = n - 1
-        wt = weights[t]
-        q, r = divmod(-d, wt)
-        if r or q < 0:
-            return
-        if not nonzero and q == 0:
-            return
-        if lambert:
-            cap = pos_budget if wt > 0 else neg_budget
-        else:
-            cap = huet_cap[t]
-        if q > cap:
-            return
-        emit(tuple(prefix[:t]) + (q,))
-
-    def finish_two(d: int, pos_budget: int, neg_budget: int, nonzero: bool) -> None:
-        t0, t1 = n - 2, n - 1
-        w0, w1 = weights[t0], weights[t1]
-        if lambert:
-            cap0 = pos_budget if w0 > 0 else neg_budget
-            cap1 = pos_budget if w1 > 0 else neg_budget
-            sum_cap = cap0 if (w0 > 0) == (w1 > 0) else None
-        else:
-            cap0, cap1, sum_cap = huet_cap[t0], huet_cap[t1], None
-        for x0, x1 in solve_two_var(w0, w1, -d, cap0, cap1, sum_cap=sum_cap):
-            if not nonzero and x0 == 0 and x1 == 0:
-                continue
-            emit(tuple(prefix[:t0]) + (x0, x1))
-
-    finish = finish_one if tail_count == 1 else finish_two
-
-    def walk(p: int, d: int, pos_budget: int, neg_budget: int, nonzero: bool) -> None:
-        stats.prefixes += 1
-        if deadline is not None and stats.prefixes % 1024 == 0:
-            deadline.check()
-        if p == tail_start:
-            finish(d, pos_budget, neg_budget, nonzero)
-            return
-        wi = weights[p]
-        if lambert:
-            cap = pos_budget if wi > 0 else neg_budget
-        else:
-            cap = huet_cap[p]
-        dv = d
-        for v in range(cap + 1):
-            if v:
-                dv += wi
-                prefix[p] = v
-            else:
-                prefix[p] = 0
-            # Remaining positions can shift the defect by at most [lo, hi];
-            # once 0 falls outside, larger v only push further out.
-            if lambert:
-                pb = pos_budget - v if wi > 0 else pos_budget
-                nb = neg_budget - v if wi < 0 else neg_budget
-                hi = pb * max_pos_from[p + 1]
-                lo = -nb * max_neg_from[p + 1]
-            else:
-                pb, nb = pos_budget, neg_budget
-                hi = huet_hi[p + 1]
-                lo = huet_lo[p + 1]
-            if wi > 0 and dv + lo > 0:
-                break
-            if wi < 0 and dv + hi < 0:
-                break
-            if dv + lo > 0 or dv + hi < 0:
-                continue
-            walk(p + 1, dv, pb, nb, nonzero or v > 0)
-        prefix[p] = 0
-
-    walk(0, 0, max_b, max_a, False)
+    assigned = [0] * len(w)
+    prefix_walk(
+        w,
+        list(range(len(w))),
+        1 if variant.tail is TailKind.LAST_ONE else 2,
+        tail_leaf(w, variant, assigned, emit),
+        assigned,
+        stats=stats,
+        deadline=Deadline.maybe(time_limit),
+        bound=variant.bound,
+    )
     return basis
 
 
-def tail_solve_one(
+def prefix_walk(
     w: WeightVector,
-    prefix: Sequence[int],
-    variant: LexVariant = DEFAULT_VARIANT,
-) -> Solution | None:
-    """Complete a prefix fixing all but the last position, or None.
+    order: Sequence[int],
+    tail: int,
+    leaf: Callable[[int, int, int], None],
+    assigned: list[int],
+    *,
+    stats: Any,
+    deadline: Deadline | None,
+    bound: BoundKind = BoundKind.LAMBERT,
+) -> None:
+    """Budgeted backtracking over all but the last ``tail`` positions of
+    ``order``, calling ``leaf(d, pos_budget, neg_budget)`` per surviving
+    prefix.
 
-    The last coordinate must consume the prefix defect exactly: it is the
-    quotient of the residual by the final weight, accepted only when the
-    division is exact, nonnegative, within the variant's bound, and the
-    completed vector is not all-zero.
+    The prefix values are written into ``assigned`` (by position) while the
+    leaf runs; ``d`` is the prefix defect and the budgets are what the
+    per-side running-sum caps (Lambert) leave for the tail.  With the
+    per-coordinate caps (Huet) the budgets stay at max_b and max_a:
+    positive-weight positions are bounded by the largest opposing
+    coefficient and vice versa.  ``stats`` is any record with a
+    ``prefixes`` counter; every visited node counts, leaves too.
     """
-    n = len(w)
-    if len(prefix) != n - 1:
-        raise ValueError(f"prefix must fix {n - 1} of {n} positions")
-    d = sum(wi * xi for wi, xi in zip(w.w, prefix))
-    q, r = divmod(-d, w.w[-1])
-    if r or q < 0:
-        return None
-    cap = _tail_cap(w, prefix, n - 1, variant)
-    if q > cap:
-        return None
-    full = tuple(prefix) + (q,)
-    if not any(full):
-        return None
-    return full
+    weights = w.w
+    lambert = bound is BoundKind.LAMBERT
+    ordered = [weights[i] for i in order]
+    m = len(ordered)
+    stop = m - tail
+
+    # Suffix envelopes over order[j:].  Budgeted variant: the largest weight
+    # magnitude per sign (budget * largest weight still placeable).
+    # Per-coordinate variant: the most the remaining positions can add to /
+    # subtract from the defect.
+    hi_from = [0] * (m + 1)
+    lo_from = [0] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        wj = ordered[j]
+        if lambert:
+            hi_from[j] = max(hi_from[j + 1], wj if wj > 0 else 0)
+            lo_from[j] = max(lo_from[j + 1], -wj if wj < 0 else 0)
+        else:
+            hi_from[j] = hi_from[j + 1] + (wj * w.max_b if wj > 0 else 0)
+            lo_from[j] = lo_from[j + 1] + (wj * w.max_a if wj < 0 else 0)
+
+    def walk(j: int, d: int, pos_budget: int, neg_budget: int) -> None:
+        stats.prefixes += 1
+        if deadline is not None and stats.prefixes % 1024 == 0:
+            deadline.check()
+        if j == stop:
+            leaf(d, pos_budget, neg_budget)
+            return
+        pos = order[j]
+        wj = ordered[j]
+        cap = pos_budget if wj > 0 else neg_budget
+        dv = d
+        for value in range(cap + 1):
+            if value:
+                dv += wj
+            assigned[pos] = value
+            # Remaining positions can shift the defect by at most [lo, hi];
+            # once 0 falls outside, larger values only push further out.
+            if lambert:
+                pb = pos_budget - value if wj > 0 else pos_budget
+                nb = neg_budget - value if wj < 0 else neg_budget
+                hi = pb * hi_from[j + 1]
+                lo = -nb * lo_from[j + 1]
+            else:
+                pb, nb = pos_budget, neg_budget
+                hi = hi_from[j + 1]
+                lo = lo_from[j + 1]
+            if wj > 0 and dv + lo > 0:
+                break
+            if wj < 0 and dv + hi < 0:
+                break
+            if dv + lo > 0 or dv + hi < 0:
+                continue
+            walk(j + 1, dv, pb, nb)
+        assigned[pos] = 0
+
+    walk(0, 0, w.max_b, w.max_a)
 
 
-def tail_solve_two(
+def tail_leaf(
+    w: WeightVector,
+    variant: LexVariant,
+    assigned: list[int],
+    emit: Callable[[Solution], None],
+) -> Callable[[int, int, int], None]:
+    """The lex walk's leaf: ``leaf(d, pos_budget, neg_budget)`` emits every
+    completion of the prefix in ``assigned`` over the last one or two
+    positions.
+
+    One position is forced: the quotient of the residual by its weight,
+    accepted only when the division is exact, nonnegative and within the
+    budget.  Two positions form a bounded two-variable linear equation,
+    solved by extended-gcd parametrization.  The all-zero vector is dropped,
+    looking at the prefix only when the tail's own part is zero.
+    """
+    weights = w.w
+    lambert = variant.bound is BoundKind.LAMBERT
+    one = variant.tail is TailKind.LAST_ONE
+    t = len(weights) - (1 if one else 2)
+    w0, w1 = weights[t], weights[-1]
+    zero = (0,) * (len(weights) - t)
+    # Lambert caps a same-sign pair by the shared budget as well.
+    sum_capped = lambert and (w0 > 0) == (w1 > 0)
+
+    def leaf(d: int, pos_budget: int, neg_budget: int) -> None:
+        if one:
+            q, r = divmod(-d, w0)
+            if r or q < 0 or q > (pos_budget if w0 > 0 else neg_budget):
+                return
+            parts: Sequence[tuple[int, ...]] = ((q,),)
+        else:
+            cap0 = pos_budget if w0 > 0 else neg_budget
+            cap1 = pos_budget if w1 > 0 else neg_budget
+            parts = solve_two_var(
+                w0, w1, -d, cap0, cap1, sum_cap=cap0 if sum_capped else None
+            )
+        for part in parts:
+            if part != zero or any(assigned):
+                emit(tuple(assigned[:t]) + part)
+
+    return leaf
+
+
+def tail_solve(
     w: WeightVector,
     prefix: Sequence[int],
     variant: LexVariant = DEFAULT_VARIANT,
 ) -> list[Solution]:
-    """All completions of a prefix fixing all but the last two positions.
-
-    The residual is a two-variable linear equation over naturals, solved by
-    extended-gcd parametrization restricted to the variant's bounds.
-    """
+    """All completions of a prefix fixing all but the variant's tail
+    positions, within the variant's bounds (see ``tail_leaf``)."""
     n = len(w)
-    if len(prefix) != n - 2:
-        raise ValueError(f"prefix must fix {n - 2} of {n} positions")
+    t = n - (1 if variant.tail is TailKind.LAST_ONE else 2)
+    if len(prefix) != t:
+        raise ValueError(f"prefix must fix {t} of {n} positions")
     d = sum(wi * xi for wi, xi in zip(w.w, prefix))
-    w0, w1 = w.w[-2], w.w[-1]
-    cap0 = _tail_cap(w, prefix, n - 2, variant)
-    cap1 = _tail_cap(w, prefix, n - 1, variant)
-    sum_cap = cap0 if (w0 > 0) == (w1 > 0) and variant.bound is BoundKind.LAMBERT else None
-    out = []
-    for x0, x1 in solve_two_var(w0, w1, -d, cap0, cap1, sum_cap=sum_cap):
-        full = tuple(prefix) + (x0, x1)
-        if any(full):
-            out.append(full)
-    return out
-
-
-def _tail_cap(
-    w: WeightVector, prefix: Sequence[int], position: int, variant: LexVariant
-) -> int:
-    positive = w.w[position] > 0
-    if variant.bound is BoundKind.HUET:
-        return w.max_b if positive else w.max_a
-    used = sum(
-        x for x, wi in zip(prefix, w.w) if (wi > 0) == positive
+    pos_budget, neg_budget = w.max_b, w.max_a
+    if variant.bound is BoundKind.LAMBERT:
+        pos_budget -= sum(x for x, wi in zip(prefix, w.w) if wi > 0)
+        neg_budget -= sum(x for x, wi in zip(prefix, w.w) if wi < 0)
+    out: list[Solution] = []
+    tail_leaf(w, variant, list(prefix) + [0] * (n - t), out.append)(
+        d, pos_budget, neg_budget
     )
-    budget = (w.max_b if positive else w.max_a) - used
-    return max(budget, 0)
+    return out
 
 
 def solve_two_var(

@@ -1,5 +1,7 @@
 """Slopes algorithm: direct minimal solutions of a*x = b*y + c*z, plus the
-all-but-three enumeration wrapper for wider equations.
+all-but-three enumeration wrapper for wider equations.  The wrapper
+enumerates with the lex solver's budgeted walk (``lex.prefix_walk``, per-side
+running-sum caps and envelope pruning), with x, y and z as its tail.
 
 The three-unknown solver walks the staircase of minimal (y, z) points
 directly: gcd arithmetic yields the extreme solutions and the first interior
@@ -30,7 +32,7 @@ from .core import (
     ext_gcd,
     pareto_min,
 )
-from .lex import BoundKind, LexVariant, TailKind, lex_solve_weights
+from .lex import BoundKind, LexVariant, TailKind, lex_solve_weights, prefix_walk
 
 
 def multiplier(a: int, b: int) -> int:
@@ -69,7 +71,9 @@ def _exact_x(numerator: int, a: int) -> int:
     return q
 
 
-def slopes3_generation(a: int, b: int, c: int) -> tuple[list[Solution], list[Solution]]:
+def slopes3_generation(
+    a: int, b: int, c: int, deadline: Deadline | None = None
+) -> tuple[list[Solution], list[Solution]]:
     """Raw output of the descent: (seed triples, descent triples in order).
 
     Descent triples come out with z strictly increasing and y strictly
@@ -91,18 +95,20 @@ def slopes3_generation(a: int, b: int, c: int) -> tuple[list[Solution], list[Sol
             y -= dy
             z += dz
             descent.append((_exact_x(b * y + c * z, a), y, z))
+            if deadline is not None and len(descent) % 4096 == 0:
+                deadline.check()
         f = dy // y
         dy -= f * y
         dz += f * z
     return seeds, descent
 
 
-def slopes3(a: int, b: int, c: int) -> BasisList:
+def slopes3(a: int, b: int, c: int, deadline: Deadline | None = None) -> BasisList:
     """Minimal natural solutions of a*x = b*y + c*z, sorted."""
     if min(a, b, c) < 1:
         raise ValueError("coefficients must be >= 1")
-    seeds, descent = slopes3_generation(a, b, c)
-    return pareto_min(seeds + descent)
+    seeds, descent = slopes3_generation(a, b, c, deadline)
+    return pareto_min(seeds + descent, deadline)
 
 
 def solve3_general(
@@ -113,6 +119,7 @@ def solve3_general(
     *,
     x_cap: int | None = None,
     yz_cap: int | None = None,
+    deadline: Deadline | None = None,
 ) -> BasisList:
     """Minimal natural solutions of a*x = b*y + c*z + v by congruence scan.
 
@@ -143,7 +150,12 @@ def solve3_general(
 
     staircase: list[Solution] = []
     y_min = None
+    # The deadline is checked every 4096 z of a long scan; the walk checks
+    # before each residual's scan.
+    long_scan = deadline is not None and z_top >= 4096
     for z in range(z_top + 1):
+        if long_scan and z % 4096 == 4095:
+            deadline.check()
         rhs = -v - c * z
         if rhs % g:
             continue
@@ -226,18 +238,8 @@ def slopes_solve_weights(
     b = -weights[y_pos]
     c = -weights[z_pos]
     enum_positions = [i for i in range(n) if i not in (x_pos, y_pos, z_pos)]
-    k = len(enum_positions)
 
-    # Suffix envelopes for pruning: the largest weight magnitude per sign
-    # still placeable among the remaining enumerated positions or the tail.
-    max_pos_from = [a] * (k + 1)
-    max_neg_from = [max(b, c)] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        wj = weights[enum_positions[j]]
-        max_pos_from[j] = max(max_pos_from[j + 1], wj if wj > 0 else 0)
-        max_neg_from[j] = max(max_neg_from[j + 1], -wj if wj < 0 else 0)
-
-    direct_cache = slopes3(a, b, c)
+    direct_cache = slopes3(a, b, c, deadline)
     candidates: list[Solution] = []
     assigned = [0] * n
 
@@ -259,7 +261,9 @@ def slopes_solve_weights(
             ]
         else:
             stats.residuals_scan += 1
-            triples = solve3_general(a, b, c, v, x_cap=pos_budget, yz_cap=neg_budget)
+            triples = solve3_general(
+                a, b, c, v, x_cap=pos_budget, yz_cap=neg_budget, deadline=deadline
+            )
         for x, y, z in triples:
             full = list(assigned)
             full[x_pos] = x
@@ -268,33 +272,15 @@ def slopes_solve_weights(
             candidates.append(tuple(full))
         stats.candidates += len(triples)
 
-    def walk(j: int, d: int, pos_budget: int, neg_budget: int) -> None:
-        stats.prefixes += 1
-        if deadline is not None and stats.prefixes % 512 == 0:
-            deadline.check()
-        if j == k:
-            solve_tail(d, pos_budget, neg_budget)
-            return
-        pos = enum_positions[j]
-        wj = weights[pos]
-        cap = pos_budget if wj > 0 else neg_budget
-        dv = d
-        for value in range(cap + 1):
-            if value:
-                dv += wj
-            assigned[pos] = value
-            pb = pos_budget - value if wj > 0 else pos_budget
-            nb = neg_budget - value if wj < 0 else neg_budget
-            hi = pb * max_pos_from[j + 1]
-            lo = -nb * max_neg_from[j + 1]
-            if wj > 0 and dv + lo > 0:
-                break
-            if wj < 0 and dv + hi < 0:
-                break
-            if dv + lo > 0 or dv + hi < 0:
-                continue
-            walk(j + 1, dv, pb, nb)
-        assigned[pos] = 0
-
-    walk(0, 0, w.max_b, w.max_a)
+    # With (x, y, z) last in the order, the walk's suffix envelopes at the
+    # tail are a and max(b, c).
+    prefix_walk(
+        w,
+        enum_positions + [x_pos, y_pos, z_pos],
+        3,
+        solve_tail,
+        assigned,
+        stats=stats,
+        deadline=deadline,
+    )
     return pareto_min(candidates, deadline)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from diobasis.core import Equation, WeightVector, build_weights, oracle_basis
+from diobasis.core import Equation, WeightVector, build_weights, oracle_basis, parse_equation
 from diobasis.lex import (
     ALL_VARIANTS,
     BoundKind,
@@ -13,11 +13,12 @@ from diobasis.lex import (
     TailKind,
     lex_solve,
     solve_two_var,
-    tail_solve_one,
-    tail_solve_two,
+    tail_solve,
 )
 
 HUET_ONE = LexVariant(BoundKind.HUET, TailKind.LAST_ONE)
+HUET_TWO = LexVariant(BoundKind.HUET, TailKind.LAST_TWO)
+LAMBERT_ONE = LexVariant(BoundKind.LAMBERT, TailKind.LAST_ONE)
 LAMBERT_TWO = LexVariant(BoundKind.LAMBERT, TailKind.LAST_TWO)
 
 
@@ -77,22 +78,81 @@ class TestLexSolve:
                 assert lambert.prefixes <= huet.prefixes
 
 
+# (prefixes, emissions, inserted, rejected, evicted) per equation and
+# variant, pinned so that any change to the walk's pruning shows.
+WALK_COUNTERS = {
+    "5 = 3 2": {
+        HUET_ONE: (16, 5, 3, 2, 0),
+        HUET_TWO: (5, 5, 3, 2, 0),
+        LAMBERT_ONE: (13, 4, 3, 1, 0),
+        LAMBERT_TWO: (5, 4, 3, 1, 0),
+    },
+    "6 4 3 = 7": {
+        HUET_ONE: (277, 36, 9, 27, 0),
+        HUET_TWO: (52, 36, 9, 27, 0),
+        LAMBERT_ONE: (165, 17, 9, 8, 0),
+        LAMBERT_TWO: (45, 17, 9, 8, 0),
+    },
+    "3 2 = 4 1": {
+        HUET_ONE: (48, 20, 8, 12, 0),
+        HUET_TWO: (27, 20, 8, 12, 0),
+        LAMBERT_ONE: (33, 11, 8, 3, 0),
+        LAMBERT_TWO: (21, 11, 8, 3, 0),
+    },
+    "7 3 = 5 4 2": {
+        HUET_ONE: (774, 288, 25, 263, 0),
+        HUET_TWO: (231, 288, 25, 263, 0),
+        LAMBERT_ONE: (238, 77, 25, 52, 0),
+        LAMBERT_TWO: (101, 77, 25, 52, 0),
+    },
+    "4 6 = 5 3 2 7": {
+        HUET_ONE: (15068, 1983, 32, 1951, 0),
+        HUET_TWO: (2626, 1983, 32, 1951, 0),
+        LAMBERT_ONE: (1633, 215, 32, 183, 0),
+        LAMBERT_TWO: (652, 215, 32, 183, 0),
+    },
+    "9 5 2 = 8 6 3": {
+        HUET_ONE: (24561, 6621, 55, 6566, 0),
+        HUET_TWO: (5976, 6621, 55, 6566, 0),
+        LAMBERT_ONE: (2582, 629, 55, 574, 0),
+        LAMBERT_TWO: (925, 629, 55, 574, 0),
+    },
+}
+
+
+class TestWalkCounters:
+    @pytest.mark.parametrize("text", list(WALK_COUNTERS))
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_counters_pinned(self, text, variant):
+        stats = LexStats()
+        eq = parse_equation(text)
+        assert lex_solve(eq, variant, stats=stats) == oracle_basis(eq)
+        got = (
+            stats.prefixes,
+            stats.emissions,
+            stats.insert.inserted,
+            stats.insert.rejected,
+            stats.insert.evicted,
+        )
+        assert got == WALK_COUNTERS[text][variant]
+
+
 class TestTailSolveOne:
     def test_exact_division(self):
         w = WeightVector((1, -2))
-        assert tail_solve_one(w, (2,), HUET_ONE) == (2, 1)
+        assert tail_solve(w, (2,), HUET_ONE) == [(2, 1)]
 
     def test_indivisible_residual(self):
-        assert tail_solve_one(WeightVector((1, -2)), (1,), HUET_ONE) is None
+        assert tail_solve(WeightVector((1, -2)), (1,), HUET_ONE) == []
 
     def test_zero_vector_excluded(self):
-        assert tail_solve_one(WeightVector((1, -2)), (0,), HUET_ONE) is None
+        assert tail_solve(WeightVector((1, -2)), (0,), HUET_ONE) == []
 
     def test_bound_enforced(self):
         # Residual forces the last coordinate above the per-coordinate cap.
         w = build_weights(Equation((5,), (1,)))
-        assert tail_solve_one(w, (2,), HUET_ONE) is None  # needs y=10 > max_a=5
-        assert tail_solve_one(w, (1,), HUET_ONE) == (1, 5)
+        assert tail_solve(w, (2,), HUET_ONE) == []  # needs y=10 > max_a=5
+        assert tail_solve(w, (1,), HUET_ONE) == [(1, 5)]
 
 
 class TestTailSolveTwo:
@@ -128,11 +188,11 @@ class TestTailSolveTwo:
         # Prefix x=1 of 5x = 3y + 2z leaves 3y + 2z = 5, whose only natural
         # solution is (1, 1).
         w = build_weights(Equation((5,), (3, 2)))
-        assert tail_solve_two(w, (1,), LAMBERT_TWO) == [(1, 1, 1)]
+        assert tail_solve(w, (1,), LAMBERT_TWO) == [(1, 1, 1)]
 
     def test_zero_prefix_drops_zero_completion(self):
         w = build_weights(Equation((5,), (3, 2)))
-        got = tail_solve_two(w, (0,), LAMBERT_TWO)
+        got = tail_solve(w, (0,), LAMBERT_TWO)
         assert (0, 0, 0) not in got
 
 

@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diobasis.core import (
+    Deadline,
     Equation,
     TimeLimitError,
     dominated_or_equal,
     ext_gcd,
     oracle_basis,
     pareto_min,
+    parse_equation,
 )
 from diobasis.graph import graph_solve
 from diobasis.slopes import (
+    SlopesStats,
     multiplier,
     slopes3,
     slopes3_generation,
@@ -203,19 +206,61 @@ class TestSlopesSolve:
             assert slopes_solve(eq) == graph_solve(eq), eq.text()
 
 
+class TestSlopesCounters:
+    # (prefixes, residuals_direct, residuals_scan, candidates), pinned so
+    # that any change to the walk's pruning shows.  "6 4 3 = 7" is solved
+    # mirrored; "7 3 = 5 4 2" and wider enumerate two or more unknowns.
+    COUNTERS = {
+        "5 = 3 2": (1, 1, 0, 3),
+        "6 4 3 = 7": (9, 1, 7, 10),
+        "3 2 = 4 1": (6, 1, 4, 11),
+        "7 3 = 5 4 2": (41, 2, 32, 66),
+        "4 6 = 5 3 2 7": (273, 8, 201, 192),
+        "9 5 2 = 8 6 3": (322, 7, 260, 212),
+    }
+
+    @pytest.mark.parametrize("text", list(COUNTERS))
+    def test_counters_pinned(self, text):
+        stats = SlopesStats()
+        eq = parse_equation(text)
+        assert slopes_solve(eq, stats=stats) == oracle_basis(eq)
+        got = (
+            stats.prefixes,
+            stats.residuals_direct,
+            stats.residuals_scan,
+            stats.candidates,
+        )
+        assert got == self.COUNTERS[text]
+
+
 class TestSlopesLimits:
     HARD = Equation((1021,), (1020, 1019, 1018))
 
     # One enumerated unknown, so the walk makes few prefixes, each followed
     # by a residual scan over a full period of c*z mod a (10 ms at a = 20011).
+    # At a near 2^20, building ``slopes3`` alone (524,285 descent triples,
+    # then their pareto_min) takes longer than the limit.
     @pytest.mark.parametrize(
-        "eq", [HARD, Equation((20011,), (20010, 20009, 20008))], ids=Equation.text
+        "eq",
+        [
+            HARD,
+            Equation((20011,), (20010, 20009, 20008)),
+            Equation((1048573,), (1048572, 1048571, 1048570)),
+        ],
+        ids=Equation.text,
     )
     def test_time_limit_is_honoured(self, eq):
         start = time.perf_counter()
         with pytest.raises(TimeLimitError):
             slopes_solve(eq, time_limit=0.3)
         assert time.perf_counter() - start < 0.3 + 0.5
+
+    def test_long_residual_scan_checks_the_deadline(self):
+        # One scan over a million z, 0.7 s without a deadline.
+        start = time.perf_counter()
+        with pytest.raises(TimeLimitError):
+            solve3_general(1048573, 1048572, 1048571, -1, deadline=Deadline(0.05))
+        assert time.perf_counter() - start < 0.05 + 0.5
 
     @pytest.mark.slow
     def test_hard_case_finishes_within_its_limit(self):
