@@ -281,6 +281,8 @@ def pareto_min(
     return kept
 
 
+# Vectors copied into the array per deadline check (about 50 ms).
+_FILL_ROWS = 1 << 16
 # Rows swept per index test and insert.  An insert costs a pass over the
 # value axis whatever it adds, so batches share it among many vectors.
 _SWEEP_ROWS = 128
@@ -296,16 +298,30 @@ _LOOP_ROWS = 2
 
 def _pareto_min_numpy(uniq: set[Solution], deadline: Deadline | None) -> BasisList:
     n = len(next(iter(uniq)))
-    flat = itertools.chain.from_iterable(uniq)
-    arr = np.fromiter(flat, dtype=np.int64, count=n * len(uniq)).reshape(-1, n)
+    # Each setup pass takes a fraction of a second at half a million vectors,
+    # so the deadline is checked between them and between fill chunks.
+    vecs = list(uniq)
+    arr = np.empty((len(vecs), n), dtype=np.int64)
+    for lo in range(0, len(vecs), _FILL_ROWS):
+        if deadline is not None:
+            deadline.check()
+        chunk = vecs[lo : lo + _FILL_ROWS]
+        flat = itertools.chain.from_iterable(chunk)
+        arr[lo : lo + len(chunk)] = np.fromiter(
+            flat, dtype=np.int64, count=n * len(chunk)
+        ).reshape(-1, n)
     sums = arr.sum(axis=1)
     order = np.argsort(sums, kind="stable")
     arr, sums = arr[order], sums[order]
+    if deadline is not None:
+        deadline.check()
     # Dominance only compares values within a column, so per-column ranks
     # keep the index as small as the number of distinct values.
     ranks = np.empty(arr.shape, dtype=np.intp)
     for k in range(n):
         ranks[:, k] = np.unique(arr[:, k], return_inverse=True)[1]
+    if deadline is not None:
+        deadline.check()
     size = int(ranks.max()) + 1
     # The index takes n * size bits per kept vector, up to twice that with
     # the slack of its geometric growth.  If keeping every vector could

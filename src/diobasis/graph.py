@@ -11,8 +11,19 @@ it, which is the shorter-bounded-walk minimality test.  Walks whose side
 sums exceed the per-side caps of minimal solutions are dropped as well; the
 canonical path to a minimal solution never trips either prune.
 
-Frontiers are ndarray-backed so each level is a handful of vectorized
-passes; successor nodes come from the materialized adjacency table.
+A level is expanded one of two ways, chosen by its width.  A level of at
+most ``NARROW_FRONTIER`` walks is expanded walk by walk: each walk is a
+tuple of label counts carried with its defect and side sums as ints, so a
+deep search of thin levels costs per walk, not per level.  A wider level is
+expanded in vectorized passes over an int32 array of walks, whose successor
+nodes come from the materialized adjacency table.  Both paths apply the
+same scan rule and prunes and test candidates with one batched call to the
+shared ``DominanceIndex`` per level.
+
+The scan rule makes duplicate walks impossible, and emissions within a
+level share a coordinate sum, so they never dominate each other or an
+earlier solution.  The search therefore does not test for either;
+``check_invariants=True`` runs those audits and counts what they find.
 """
 
 from __future__ import annotations
@@ -35,6 +46,10 @@ from .core import (
 )
 
 DEFAULT_FRONTIER_CAP = 2**26
+# Levels of at most this many walks are expanded walk by walk as tuples;
+# wider ones in vectorized passes, whose fixed cost per level a few walks
+# cannot repay.
+NARROW_FRONTIER = 64
 
 
 class DefectGraph:
@@ -46,16 +61,12 @@ class DefectGraph:
         self.node_hi = w.max_a
         self.num_nodes = self.node_hi - self.node_lo + 1
         self.zero_index = -self.node_lo
-        n = len(w)
         # target[idx, i] = index of node d + w_i, or -1 when out of range
-        table = np.full((self.num_nodes, n), -1, dtype=np.int32)
-        for idx in range(self.num_nodes):
-            d = idx + self.node_lo
-            for i, wi in enumerate(w.w):
-                t = d + wi
-                if self.node_lo <= t <= self.node_hi:
-                    table[idx, i] = t - self.node_lo
-        self.target = table
+        target = np.arange(self.num_nodes, dtype=np.int32)[:, None] + np.array(
+            w.w, dtype=np.int32
+        )
+        target[(target < 0) | (target >= self.num_nodes)] = -1
+        self.target = target
 
     @property
     def edge_count(self) -> int:
@@ -122,51 +133,124 @@ def graph_solve(
     )
 
 
-def graph_solve_weights(
-    w: WeightVector,
-    *,
-    frontier_cap: int = DEFAULT_FRONTIER_CAP,
-    stats: GraphStats | None = None,
-    time_limit: float | None = None,
-) -> BasisList:
-    if not w.has_both_signs:
-        return []
-    stats = stats if stats is not None else GraphStats()
-    deadline = Deadline.maybe(time_limit)
-    graph = build_defect_graph(w)
-    n = len(w)
-    zero_idx = graph.zero_index
-    table = graph.target
+# A walk of a narrow level: (label counts, defect, positive-side sum,
+# negative-side sum).
+_Walk = tuple[tuple[int, ...], int, int, int]
 
-    pos_desc = np.array(sorted(w.positive_positions, reverse=True), dtype=np.int64)
-    neg_desc = np.array(sorted(w.negative_positions, reverse=True), dtype=np.int64)
-    pos_cols = np.array(w.positive_positions, dtype=np.int64)
-    neg_cols = np.array(w.negative_positions, dtype=np.int64)
 
-    # Seed: one walk per positive label out of node zero (one-sided seeding,
-    # same uniqueness argument as the completion procedure).
-    frontier = np.zeros((len(pos_desc), n), dtype=np.int32)
-    order = pos_cols  # ascending positions for deterministic layout
-    frontier[np.arange(len(order)), order] = 1
-    nodes = table[zero_idx, order]
+class _Search:
+    """State shared by the levels of one graph search: the weights, the
+    adjacency table, the solutions found so far and their dominance index.
 
-    solutions: list[Solution] = []
-    # The side-sum caps keep every coordinate within max(max_a, max_b).
-    index = DominanceIndex(n, max(w.max_a, w.max_b) + 1)
+    A level is expanded by ``narrow_level`` on a list of walk tuples or by
+    ``wide_level`` on an int32 array of label counts with the walks' node
+    indices; both apply the same scan rule, prunes and counters.
+    """
 
-    while len(frontier):
-        if deadline is not None:
-            deadline.check()
-        stats.levels += 1
-        stats.max_frontier = max(stats.max_frontier, len(frontier))
-        if len(frontier) > frontier_cap:
-            raise ResourceLimitError(
-                f"graph frontier holds {len(frontier)} walks, over the cap of {frontier_cap}"
+    def __init__(
+        self, w: WeightVector, graph: DefectGraph, stats: GraphStats, check: bool
+    ):
+        self.w = w
+        self.table = graph.target
+        self.zero_idx = graph.zero_index
+        self.stats = stats
+        self.check = check
+        self.pos_desc = sorted(w.positive_positions, reverse=True)
+        self.neg_desc = sorted(w.negative_positions, reverse=True)
+        self.label_arrays = (
+            np.array(self.pos_desc, dtype=np.int64),
+            np.array(self.neg_desc, dtype=np.int64),
+        )
+        self.pos_cols = np.array(w.positive_positions, dtype=np.int64)
+        self.neg_cols = np.array(w.negative_positions, dtype=np.int64)
+        self.solutions: list[Solution] = []
+        # The side-sum caps keep every coordinate within max(max_a, max_b).
+        self.index = DominanceIndex(len(w), max(w.max_a, w.max_b) + 1)
+
+    def to_walks(self, rows: np.ndarray, nodes: np.ndarray) -> list[_Walk]:
+        return list(
+            zip(
+                map(tuple, rows.tolist()),
+                (nodes - self.zero_idx).tolist(),
+                rows[:, self.pos_cols].sum(axis=1).tolist(),
+                rows[:, self.neg_cols].sum(axis=1).tolist(),
             )
-        stats.walks_expanded += len(frontier)
+        )
 
+    def to_rows(self, walks: list[_Walk]) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.array([walk[0] for walk in walks], dtype=np.int32)
+        nodes = np.array([walk[1] for walk in walks]) + self.zero_idx
+        return rows, nodes
+
+    def emit(self, emitted: np.ndarray) -> None:
+        # Emissions within a level share a coordinate sum, so they cannot
+        # dominate each other or anything found earlier; the audit only
+        # feeds the counters that tests assert stay zero.
+        if self.check:
+            uniq = np.unique(emitted, axis=0)
+            self.stats.duplicate_emissions += len(emitted) - len(uniq)
+            rejected = self.index.any_dominator(uniq)
+            self.stats.insert.rejected += int(rejected.sum())
+            emitted = uniq[~rejected]
+        self.stats.insert.inserted += len(emitted)
+        self.solutions.extend(map(tuple, emitted.tolist()))
+        self.index.add(emitted)
+
+    def narrow_level(self, walks: list[_Walk]) -> list[_Walk]:
+        """Expand a level walk by walk; returns the next level's walks."""
+        w = self.w
+        weights, max_a, max_b = w.w, w.max_a, w.max_b
+        emitted: list[Solution] = []
+        proposals: list[_Walk] = []
+        children = pruned = 0
+        for x, d, sp, sn in walks:
+            # A walk fits both side-sum caps; a child raises only the side
+            # of its label.
+            if d < 0:
+                labels, sp = self.pos_desc, sp + 1
+                fits = sp <= max_b
+            else:
+                labels, sn = self.neg_desc, sn + 1
+                fits = sn <= max_a
+            for i in labels:
+                children += 1
+                if fits:
+                    child = x[:i] + (x[i] + 1,) + x[i + 1 :]
+                    dc = d + weights[i]
+                    if dc:
+                        proposals.append((child, dc, sp, sn))
+                    else:
+                        emitted.append(child)
+                else:
+                    pruned += 1
+                if x[i]:
+                    break
+        self.stats.children += children
+        self.stats.pruned_side_sums += pruned
+        if emitted:
+            self.emit(np.array(emitted, dtype=np.int32))
+        if proposals and self.index.count:
+            dominated = self.index.any_dominator(
+                np.array([p[0] for p in proposals], dtype=np.int32)
+            ).tolist()
+            self.stats.pruned_dominated += sum(dominated)
+            proposals = [p for p, out in zip(proposals, dominated) if not out]
+        if self.check:
+            first: dict[tuple[int, ...], _Walk] = {}
+            for p in proposals:
+                first.setdefault(p[0], p)
+            self.stats.duplicate_walks += len(proposals) - len(first)
+            proposals = list(first.values())
+        return proposals
+
+    def wide_level(
+        self, frontier: np.ndarray, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Expand a level in vectorized passes; returns the next level."""
+        w, stats, zero_idx = self.w, self.stats, self.zero_idx
         chunks = []
         chunk_nodes = []
+        pos_desc, neg_desc = self.label_arrays
         for labels_desc, rows in (
             (pos_desc, nodes < zero_idx),
             (neg_desc, nodes > zero_idx),
@@ -185,12 +269,9 @@ def graph_solve_weights(
             labels = labels_desc[label_pos]
             children = group[row_idx]
             children[np.arange(len(children)), labels] += 1
-            child_nodes = table[group_nodes[row_idx], labels]
             chunks.append(children)
-            chunk_nodes.append(child_nodes)
+            chunk_nodes.append(self.table[group_nodes[row_idx], labels])
 
-        if not chunks:
-            break
         children = np.vstack(chunks)
         child_nodes = np.concatenate(chunk_nodes)
         stats.children += len(children)
@@ -198,42 +279,81 @@ def graph_solve_weights(
         # Side-sum guard: minimal solutions keep each side's sum within the
         # opposing side's largest coefficient, and so does every prefix of
         # their construction path.
-        ok = (children[:, pos_cols].sum(axis=1) <= w.max_b) & (
-            children[:, neg_cols].sum(axis=1) <= w.max_a
+        ok = (children[:, self.pos_cols].sum(axis=1) <= w.max_b) & (
+            children[:, self.neg_cols].sum(axis=1) <= w.max_a
         )
         stats.pruned_side_sums += int(len(children) - ok.sum())
         children = children[ok]
         child_nodes = child_nodes[ok]
 
         is_solution = child_nodes == zero_idx
-        emitted = children[is_solution]
-        if len(emitted):
-            # Emissions within a level share a coordinate sum, so they cannot
-            # dominate each other or anything found earlier; the checks below
-            # only feed the instrumentation that tests assert stays silent.
-            uniq = np.unique(emitted, axis=0)
-            stats.duplicate_emissions += len(emitted) - len(uniq)
-            rejected = index.any_dominator(uniq)
-            stats.insert.rejected += int(rejected.sum())
-            uniq = uniq[~rejected]
-            stats.insert.inserted += len(uniq)
-            solutions.extend(tuple(row) for row in uniq.tolist())
-            index.add(uniq)
+        if is_solution.any():
+            self.emit(children[is_solution])
 
         proposals = children[~is_solution]
         prop_nodes = child_nodes[~is_solution]
         if len(proposals):
-            dominated = index.any_dominator(proposals)
+            dominated = self.index.any_dominator(proposals)
             stats.pruned_dominated += int(dominated.sum())
-            keep = ~dominated
-            proposals = proposals[keep]
-            prop_nodes = prop_nodes[keep]
-        if len(proposals):
+            proposals = proposals[~dominated]
+            prop_nodes = prop_nodes[~dominated]
+        if self.check and len(proposals):
             uniq, first_idx = np.unique(proposals, axis=0, return_index=True)
             stats.duplicate_walks += len(proposals) - len(uniq)
             proposals = uniq
             prop_nodes = prop_nodes[first_idx]
-        frontier = proposals
-        nodes = prop_nodes
+        return proposals, prop_nodes
 
-    return sorted(solutions)
+
+def graph_solve_weights(
+    w: WeightVector,
+    *,
+    frontier_cap: int = DEFAULT_FRONTIER_CAP,
+    stats: GraphStats | None = None,
+    time_limit: float | None = None,
+    check_invariants: bool = False,
+) -> BasisList:
+    """Basis of a weight vector by the graph algorithm.
+
+    With ``check_invariants`` every level also counts duplicate walks,
+    duplicate emissions and dominated emissions into ``stats`` and drops
+    them; the scan rule and the equal-sum argument prove all three counts
+    stay zero, so by default the search does not pay for them.
+    """
+    if not w.has_both_signs:
+        return []
+    stats = stats if stats is not None else GraphStats()
+    deadline = Deadline.maybe(time_limit)
+    graph = build_defect_graph(w)
+    search = _Search(w, graph, stats, check_invariants)
+
+    # Seed: one walk per positive label out of node zero (one-sided seeding,
+    # same uniqueness argument as the completion procedure).
+    n = len(w)
+    walks: list[_Walk] = [
+        ((0,) * i + (1,) + (0,) * (n - i - 1), w.w[i], 1, 0)
+        for i in w.positive_positions
+    ]
+    wide = None  # (rows, nodes) while the frontier is wide; walks is then stale
+    while True:
+        width = len(walks) if wide is None else len(wide[0])
+        if not width:
+            break
+        if deadline is not None:
+            deadline.check()
+        stats.levels += 1
+        stats.max_frontier = max(stats.max_frontier, width)
+        if width > frontier_cap:
+            raise ResourceLimitError(
+                f"graph frontier holds {width} walks, over the cap of {frontier_cap}"
+            )
+        stats.walks_expanded += width
+        if width <= NARROW_FRONTIER:
+            if wide is not None:
+                walks, wide = search.to_walks(*wide), None
+            walks = search.narrow_level(walks)
+        else:
+            if wide is None:
+                wide = search.to_rows(walks)
+            wide = search.wide_level(*wide)
+    return sorted(search.solutions)

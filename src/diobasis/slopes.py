@@ -19,6 +19,7 @@ with no Pareto filtering (Filgueiras & Tomas, J. Symbolic Computation 1995).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -111,6 +112,18 @@ def slopes3(a: int, b: int, c: int, deadline: Deadline | None = None) -> BasisLi
     return pareto_min(seeds + descent, deadline)
 
 
+@functools.lru_cache(maxsize=64)
+def _congruence(a: int, b: int) -> tuple[int, int, int]:
+    """(g, step, inv) for solving b*y = r (mod a): g = gcd(a, b), y is
+    unique modulo step = a/g, and inv inverts b/g modulo step.  One solve
+    asks for the same (a, b) on every residual, so the result is cached."""
+    g = math.gcd(b, a)
+    step = a // g
+    bg = (b // g) % step
+    inv = ext_gcd(bg, step)[1] % step if step > 1 else 0
+    return g, step, inv
+
+
 def solve3_general(
     a: int,
     b: int,
@@ -143,10 +156,7 @@ def solve3_general(
     if yz_cap is not None:
         z_top = min(z_top, yz_cap)
 
-    g = math.gcd(b, a)
-    step = a // g
-    bg = (b // g) % step
-    inv = ext_gcd(bg, step)[1] % step if step > 1 else 0
+    g, step, inv = _congruence(a, b)
 
     staircase: list[Solution] = []
     y_min = None

@@ -229,6 +229,21 @@ class TestParetoMin:
         vecs += [(i, 300 - i, 0) for i in range(300)]
         assert pareto_min(vecs) == pareto_reference(vecs)
 
+    def test_numpy_path_checks_the_deadline_before_ranking(self, monkeypatch):
+        # Building, sorting and ranking half a million vectors takes most of
+        # a second, so an expired deadline must stop the setup early.
+        class ExpiredDeadline:
+            def check(self):
+                raise TimeLimitError("expired")
+
+        def unique(*args, **kwargs):
+            pytest.fail("pareto_min ranked its columns past an expired deadline")
+
+        monkeypatch.setattr(core.np, "unique", unique)
+        vecs = [(i, 600 - i) for i in range(600)]
+        with pytest.raises(TimeLimitError):
+            pareto_min(vecs, deadline=ExpiredDeadline())
+
     @pytest.mark.parametrize("budget", [core._INDEX_BYTES, 0], ids=["index", "rows"])
     def test_numpy_path_honours_deadline(self, monkeypatch, budget):
         monkeypatch.setattr(core, "_INDEX_BYTES", budget)

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diobasis import graph
 from diobasis.completion import completion_solve_weights
 from diobasis.core import (
     Equation,
@@ -11,6 +14,7 @@ from diobasis.core import (
     WeightVector,
     build_weights,
     oracle_basis,
+    parse_equation,
 )
 from diobasis.graph import (
     GraphStats,
@@ -21,6 +25,18 @@ from diobasis.graph import (
 )
 
 EQ6 = Equation((104, 167), (165, 154, 148, 159, 174, 150))
+
+# Widest level expanded as tuples: 0 sends every level through the ndarray
+# path, a huge value every level through the tuple path, and the default
+# switches between them as the frontier narrows and widens.
+PATHS = {"arrays": 0, "mixed": graph.NARROW_FRONTIER, "tuples": 2**62}
+
+
+def level_paths(monkeypatch):
+    """Set the narrow-level bound to each of PATHS in turn, yielding its name."""
+    for name, narrow in PATHS.items():
+        monkeypatch.setattr(graph, "NARROW_FRONTIER", narrow)
+        yield name
 
 
 def random_weights(rng, max_coeff, max_n):
@@ -86,12 +102,13 @@ class TestGraphSolve:
         eq = Equation((2, 1), (1,))
         assert graph_solve(eq) == [(0, 1, 1), (1, 0, 2)]
 
-    def test_equals_completion_everywhere(self):
+    def test_equals_completion_everywhere(self, monkeypatch):
         # Same search over precomputed adjacency: bases must be set-equal.
-        rng = random.Random(31)
-        for _ in range(60):
-            w = random_weights(rng, 13, 6)
-            assert graph_solve_weights(w) == completion_solve_weights(w), w.w
+        for path in level_paths(monkeypatch):
+            rng = random.Random(31)
+            for _ in range(60):
+                w = random_weights(rng, 13, 6)
+                assert graph_solve_weights(w) == completion_solve_weights(w), (path, w.w)
 
     def test_matches_oracle(self):
         rng = random.Random(32)
@@ -101,20 +118,91 @@ class TestGraphSolve:
             eq = Equation(lhs, rhs)
             assert graph_solve(eq) == oracle_basis(eq), eq.text()
 
-    def test_search_is_clean(self):
+    def test_search_is_clean(self, monkeypatch):
         # No duplicate walks, no duplicate or dominated emissions.
-        rng = random.Random(33)
-        for _ in range(40):
-            w = random_weights(rng, 11, 5)
-            stats = GraphStats()
-            graph_solve_weights(w, stats=stats)
-            assert stats.duplicate_walks == 0
-            assert stats.duplicate_emissions == 0
-            assert stats.insert.rejected == 0
+        for _ in level_paths(monkeypatch):
+            rng = random.Random(33)
+            for _ in range(40):
+                w = random_weights(rng, 11, 5)
+                stats = GraphStats()
+                graph_solve_weights(w, stats=stats, check_invariants=True)
+                assert stats.duplicate_walks == 0
+                assert stats.duplicate_emissions == 0
+                assert stats.insert.rejected == 0
 
     def test_frontier_cap(self):
         with pytest.raises(ResourceLimitError):
             graph_solve(Equation((104, 167), (165, 154, 148)), frontier_cap=4)
+        # Its widest level holds 31 walks, all expanded as tuples.
+        assert graph.NARROW_FRONTIER > 31
+        with pytest.raises(ResourceLimitError):
+            graph_solve(Equation((335,), (473, 1021)), frontier_cap=30)
 
     def test_single_signed_weights(self):
         assert graph_solve_weights(WeightVector((2, 3))) == []
+
+
+# (levels, walks_expanded, children, pruned_dominated, pruned_side_sums,
+# max_frontier, insert.inserted), recorded before the tuple path existed.
+PINNED_COUNTERS = [
+    ("335 = 473 1021", (1355, 5546, 5881, 329, 0, 31, 7)),
+    ("53 36 29 21 = 11 38 82 107", (159, 44995, 77323, 31207, 0, 2273, 1125)),
+    ("104 167 = 165 154 148", (331, 43005, 55080, 11667, 0, 586, 410)),
+    ("9 5 = 2 7 12", (16, 206, 286, 49, 0, 25, 33)),
+    ("6 4 3 = 7", (12, 46, 67, 15, 0, 6, 9)),
+    ("3 5 = 7 2", (11, 54, 74, 4, 0, 9, 18)),
+]
+
+
+class TestSearchCounters:
+    @pytest.mark.parametrize("text, expected", PINNED_COUNTERS)
+    def test_counters_are_pinned(self, monkeypatch, text, expected):
+        for path in level_paths(monkeypatch):
+            stats = GraphStats()
+            basis = graph_solve(parse_equation(text), stats=stats)
+            got = (
+                stats.levels,
+                stats.walks_expanded,
+                stats.children,
+                stats.pruned_dominated,
+                stats.pruned_side_sums,
+                stats.max_frontier,
+                stats.insert.inserted,
+            )
+            assert got == expected, path
+            assert len(basis) == stats.insert.inserted
+
+
+sides = st.lists(st.integers(1, 12), min_size=1, max_size=3)
+
+
+class TestMetamorphic:
+    @settings(max_examples=40, deadline=None)
+    @given(lhs=sides, rhs=sides)
+    def test_swapping_sides_swaps_the_coordinate_blocks(self, lhs, rhs):
+        m = len(lhs)
+        basis = graph_solve(Equation(tuple(lhs), tuple(rhs)))
+        swapped = graph_solve(Equation(tuple(rhs), tuple(lhs)))
+        assert swapped == sorted(x[m:] + x[:m] for x in basis)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lhs=sides, rhs=sides, factor=st.integers(2, 5))
+    def test_common_factor_leaves_the_basis_unchanged(self, lhs, rhs, factor):
+        scaled = Equation(tuple(factor * c for c in lhs), tuple(factor * c for c in rhs))
+        assert graph_solve(scaled) == graph_solve(Equation(tuple(lhs), tuple(rhs)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), lhs=sides, rhs=sides)
+    def test_permuting_a_side_permutes_the_coordinates(self, data, lhs, rhs):
+        m = len(lhs)
+        lhs_perm = data.draw(st.permutations(range(m)))
+        rhs_perm = data.draw(st.permutations(range(m, m + len(rhs))))
+        perm = list(lhs_perm) + list(rhs_perm)  # new coordinate j is old perm[j]
+        coeffs = lhs + rhs
+        permuted = Equation(
+            tuple(coeffs[j] for j in lhs_perm), tuple(coeffs[j] for j in rhs_perm)
+        )
+        basis = graph_solve(Equation(tuple(lhs), tuple(rhs)))
+        assert graph_solve(permuted) == sorted(
+            tuple(x[j] for j in perm) for x in basis
+        )
