@@ -18,8 +18,6 @@ discard a prefix of a minimal solution's path.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass, field
 
 from .core import (
@@ -30,8 +28,8 @@ from .core import (
     Solution,
     WeightVector,
     build_weights,
-    dominated_or_equal,
     insert_minimal,
+    is_dominated,
 )
 
 
@@ -55,20 +53,6 @@ class CompletionStats:
     insert: InsertStats = field(default_factory=InsertStats)
 
 
-def is_dominated(sorted_basis: BasisList, vec: Solution) -> bool:
-    """True when some basis member dominates or equals ``vec``.
-
-    Dominators are lexicographically <= the dominated vector, so only the
-    sorted prefix up to the insertion point needs scanning.
-    """
-    i = bisect.bisect_left(sorted_basis, vec)
-    if i < len(sorted_basis) and sorted_basis[i] == vec:
-        return True
-    return any(
-        dominated_or_equal(b, vec) for b in itertools.islice(sorted_basis, i)
-    )
-
-
 def initial_proposals(w: WeightVector) -> list[Proposal]:
     """Seed proposals: one unit vector per positive-weight position."""
     n = len(w)
@@ -86,13 +70,15 @@ def completion_step(
     *,
     stats: CompletionStats | None = None,
     strict: bool = False,
+    deadline: Deadline | None = None,
 ) -> tuple[list[Solution], list[Proposal]]:
     """One completion round: extend every proposal, split off solutions.
 
     ``found`` must be lex-sorted; it is only read.  Children that equal an
     already-generated vector are deduplicated; ``strict`` turns such a hit
     into an error instead of a silent merge, since the scan rule makes
-    duplicates impossible on well-formed runs.
+    duplicates impossible on well-formed runs.  ``deadline`` is checked
+    before the first proposal and then every 256 proposals.
     """
     weights = w.w
     n = len(weights)
@@ -100,7 +86,9 @@ def completion_step(
     emitted: set[Solution] = set()
     next_map: dict[tuple[int, ...], Proposal] = {}
 
-    for p in proposals:
+    for k, p in enumerate(proposals):
+        if deadline is not None and not k & 255:
+            deadline.check()
         if stats:
             stats.proposals_processed += 1
         d = p.d
@@ -167,11 +155,11 @@ def completion_solve_weights(
     basis: BasisList = []
     pset = initial_proposals(w)
     while pset:
-        if deadline is not None:
-            deadline.check()
         if stats:
             stats.levels += 1
-        emissions, pset = completion_step(w, pset, basis, stats=stats, strict=True)
+        emissions, pset = completion_step(
+            w, pset, basis, stats=stats, strict=True, deadline=deadline
+        )
         for sol in emissions:
             insert_minimal(basis, sol, insert_stats)
     return basis

@@ -226,6 +226,21 @@ class InsertStats:
     evicted: int = 0
 
 
+def is_dominated(sorted_basis: BasisList, vec: Solution) -> bool:
+    """True when some member of a lex-sorted basis dominates or equals ``vec``.
+
+    Dominators are lexicographically <= the dominated vector, so only the
+    sorted prefix up to the insertion point needs scanning.
+    """
+    i = bisect.bisect_left(sorted_basis, vec)
+    if i < len(sorted_basis) and sorted_basis[i] == vec:
+        return True
+    for b in itertools.islice(sorted_basis, i):
+        if dominated_or_equal(b, vec):
+            return True
+    return False
+
+
 def insert_minimal(
     basis: BasisList, sol: Solution, stats: InsertStats | None = None
 ) -> BasisList:
@@ -233,19 +248,14 @@ def insert_minimal(
 
     ``sol`` is rejected when a stored solution dominates or equals it; any
     stored solutions it dominates are evicted.  Returns ``basis`` (mutated in
-    place).  Only lex-smaller vectors can dominate, so the rejection scan
-    stops at the insertion point and the eviction scan starts there.
+    place).  Only lex-larger vectors can be dominated by ``sol``, so the
+    eviction scan starts at the insertion point.
     """
-    i = bisect.bisect_left(basis, sol)
-    if i < len(basis) and basis[i] == sol:
+    if is_dominated(basis, sol):
         if stats:
             stats.rejected += 1
         return basis
-    for b in itertools.islice(basis, i):
-        if dominated_or_equal(b, sol):
-            if stats:
-                stats.rejected += 1
-            return basis
+    i = bisect.bisect_left(basis, sol)
     tail = [b for b in itertools.islice(basis, i, len(basis)) if not dominated_or_equal(sol, b)]
     if stats:
         stats.evicted += len(basis) - i - len(tail)

@@ -7,28 +7,36 @@ solution.  The search expands walks breadth-first by length (= coordinate
 sum), follows positive labels from negative nodes and negative labels from
 positive nodes, applies the same top-down scan rule as the completion
 procedure, and prunes a walk once an already-found solution is bounded by
-it, which is the shorter-bounded-walk minimality test.  Walks whose side
-sums exceed the per-side caps of minimal solutions are dropped as well; the
-canonical path to a minimal solution never trips either prune.
+it, which is the shorter-bounded-walk minimality test; the canonical path
+to a minimal solution never trips it.  This one prune also keeps each side
+sum within the opposing side's largest coefficient.  A walk that visits a
+node twice closes a nonzero solution of smaller coordinate sum between the
+visits; an earlier level has indexed a minimal solution below it, so the
+walk is pruned.  Every node lies in [1 - max_b, max_a], so the positive
+steps of a surviving walk start from distinct nodes among the max_b nodes
+{0, -1, ..., 1 - max_b} and its negative steps from distinct nodes among
+the max_a nodes {1, ..., max_a}.
 
 A level is expanded one of two ways, chosen by its width.  A level of at
-most ``NARROW_FRONTIER`` walks is expanded walk by walk: each walk is a
-tuple of label counts carried with its defect and side sums as ints, so a
-deep search of thin levels costs per walk, not per level.  A wider level is
-expanded in vectorized passes over an int32 array of walks, whose successor
-nodes come from the materialized adjacency table.  Both paths apply the
-same scan rule and prunes and test candidates with one batched call to the
-shared ``DominanceIndex`` per level.
+most ``NARROW_FRONTIER`` walks is expanded walk by walk, each walk a tuple
+of label counts carried with its defect as an int, so a deep search of thin
+levels costs per walk, not per level.  A wider level is expanded in
+vectorized passes over an int32 array of walks, whose successor nodes come
+from the materialized adjacency table.  Both paths apply the same scan rule
+and hand their children to one method, which indexes the emissions and
+prunes the proposals with one batched call to the ``DominanceIndex``.
 
 The scan rule makes duplicate walks impossible, and emissions within a
 level share a coordinate sum, so they never dominate each other or an
-earlier solution.  The search therefore does not test for either;
-``check_invariants=True`` runs those audits and counts what they find.
+earlier solution.  The search therefore does not test for either, nor for
+side sums; ``check_invariants=True`` runs those audits and counts what
+they find.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterator
 
 import numpy as np
@@ -110,9 +118,9 @@ class GraphStats:
     walks_expanded: int = 0
     children: int = 0
     pruned_dominated: int = 0
-    pruned_side_sums: int = 0
     duplicate_walks: int = 0
     duplicate_emissions: int = 0
+    side_sum_overflows: int = 0
     max_frontier: int = 0
     insert: InsertStats = field(default_factory=InsertStats)
 
@@ -133,9 +141,8 @@ def graph_solve(
     )
 
 
-# A walk of a narrow level: (label counts, defect, positive-side sum,
-# negative-side sum).
-_Walk = tuple[tuple[int, ...], int, int, int]
+# A walk of a narrow level: (label counts, defect).
+_Walk = tuple[tuple[int, ...], int]
 
 
 class _Search:
@@ -144,7 +151,8 @@ class _Search:
 
     A level is expanded by ``narrow_level`` on a list of walk tuples or by
     ``wide_level`` on an int32 array of label counts with the walks' node
-    indices; both apply the same scan rule, prunes and counters.
+    indices; both apply the same scan rule, and ``settle`` decides which of
+    their children survive.
     """
 
     def __init__(
@@ -161,93 +169,82 @@ class _Search:
             np.array(self.pos_desc, dtype=np.int64),
             np.array(self.neg_desc, dtype=np.int64),
         )
-        self.pos_cols = np.array(w.positive_positions, dtype=np.int64)
-        self.neg_cols = np.array(w.negative_positions, dtype=np.int64)
         self.solutions: list[Solution] = []
-        # The side-sum caps keep every coordinate within max(max_a, max_b).
+        self.no_rows = np.zeros((0, len(w)), dtype=np.int32)
+        # A child's side sums stay within the per-side caps (module
+        # docstring), so every coordinate is at most max(max_a, max_b).
         self.index = DominanceIndex(len(w), max(w.max_a, w.max_b) + 1)
 
+    def rows(self, counts: list[tuple[int, ...]]) -> np.ndarray:
+        if not counts:
+            return self.no_rows
+        return np.array(counts, dtype=np.int32)
+
     def to_walks(self, rows: np.ndarray, nodes: np.ndarray) -> list[_Walk]:
-        return list(
-            zip(
-                map(tuple, rows.tolist()),
-                (nodes - self.zero_idx).tolist(),
-                rows[:, self.pos_cols].sum(axis=1).tolist(),
-                rows[:, self.neg_cols].sum(axis=1).tolist(),
-            )
-        )
+        return list(zip(map(tuple, rows.tolist()), (nodes - self.zero_idx).tolist()))
 
     def to_rows(self, walks: list[_Walk]) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.array([walk[0] for walk in walks], dtype=np.int32)
         nodes = np.array([walk[1] for walk in walks]) + self.zero_idx
-        return rows, nodes
+        return self.rows([walk[0] for walk in walks]), nodes
 
-    def emit(self, emitted: np.ndarray) -> None:
-        # Emissions within a level share a coordinate sum, so they cannot
-        # dominate each other or anything found earlier; the audit only
-        # feeds the counters that tests assert stay zero.
+    def settle(self, emitted: np.ndarray, proposals: np.ndarray) -> np.ndarray:
+        """Index a level's emissions; return a mask of the proposals that no
+        solution found so far bounds."""
+        stats, index = self.stats, self.index
         if self.check:
+            w, positive = self.w, np.array(self.w.w) > 0
+            for rows in (emitted, proposals):
+                over = (rows[:, positive].sum(axis=1) > w.max_b) | (
+                    rows[:, ~positive].sum(axis=1) > w.max_a
+                )
+                stats.side_sum_overflows += int(over.sum())
+            # Emissions within a level share a coordinate sum, so they
+            # cannot dominate each other or anything found earlier.
             uniq = np.unique(emitted, axis=0)
-            self.stats.duplicate_emissions += len(emitted) - len(uniq)
-            rejected = self.index.any_dominator(uniq)
-            self.stats.insert.rejected += int(rejected.sum())
+            stats.duplicate_emissions += len(emitted) - len(uniq)
+            rejected = index.any_dominator(uniq)
+            stats.insert.rejected += int(rejected.sum())
             emitted = uniq[~rejected]
-        self.stats.insert.inserted += len(emitted)
-        self.solutions.extend(map(tuple, emitted.tolist()))
-        self.index.add(emitted)
+        if len(emitted):
+            stats.insert.inserted += len(emitted)
+            self.solutions.extend(map(tuple, emitted.tolist()))
+            index.add(emitted)
+        keep = ~index.any_dominator(proposals)
+        stats.pruned_dominated += len(keep) - int(np.count_nonzero(keep))
+        if self.check and keep.any():
+            kept = np.flatnonzero(keep)
+            _, first = np.unique(proposals[kept], axis=0, return_index=True)
+            stats.duplicate_walks += len(kept) - len(first)
+            keep[:] = False
+            keep[kept[first]] = True
+        return keep
 
     def narrow_level(self, walks: list[_Walk]) -> list[_Walk]:
         """Expand a level walk by walk; returns the next level's walks."""
-        w = self.w
-        weights, max_a, max_b = w.w, w.max_a, w.max_b
+        weights = self.w.w
         emitted: list[Solution] = []
         proposals: list[_Walk] = []
-        children = pruned = 0
-        for x, d, sp, sn in walks:
-            # A walk fits both side-sum caps; a child raises only the side
-            # of its label.
-            if d < 0:
-                labels, sp = self.pos_desc, sp + 1
-                fits = sp <= max_b
-            else:
-                labels, sn = self.neg_desc, sn + 1
-                fits = sn <= max_a
-            for i in labels:
+        children = 0
+        for x, d in walks:
+            for i in self.pos_desc if d < 0 else self.neg_desc:
                 children += 1
-                if fits:
-                    child = x[:i] + (x[i] + 1,) + x[i + 1 :]
-                    dc = d + weights[i]
-                    if dc:
-                        proposals.append((child, dc, sp, sn))
-                    else:
-                        emitted.append(child)
+                child = x[:i] + (x[i] + 1,) + x[i + 1 :]
+                dc = d + weights[i]
+                if dc:
+                    proposals.append((child, dc))
                 else:
-                    pruned += 1
+                    emitted.append(child)
                 if x[i]:
                     break
         self.stats.children += children
-        self.stats.pruned_side_sums += pruned
-        if emitted:
-            self.emit(np.array(emitted, dtype=np.int32))
-        if proposals and self.index.count:
-            dominated = self.index.any_dominator(
-                np.array([p[0] for p in proposals], dtype=np.int32)
-            ).tolist()
-            self.stats.pruned_dominated += sum(dominated)
-            proposals = [p for p, out in zip(proposals, dominated) if not out]
-        if self.check:
-            first: dict[tuple[int, ...], _Walk] = {}
-            for p in proposals:
-                first.setdefault(p[0], p)
-            self.stats.duplicate_walks += len(proposals) - len(first)
-            proposals = list(first.values())
-        return proposals
+        keep = self.settle(self.rows(emitted), self.rows([p[0] for p in proposals]))
+        return list(compress(proposals, keep.tolist()))
 
     def wide_level(
         self, frontier: np.ndarray, nodes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Expand a level in vectorized passes; returns the next level."""
-        w, stats, zero_idx = self.w, self.stats, self.zero_idx
+        zero_idx = self.zero_idx
         chunks = []
         chunk_nodes = []
         pos_desc, neg_desc = self.label_arrays
@@ -274,35 +271,12 @@ class _Search:
 
         children = np.vstack(chunks)
         child_nodes = np.concatenate(chunk_nodes)
-        stats.children += len(children)
-
-        # Side-sum guard: minimal solutions keep each side's sum within the
-        # opposing side's largest coefficient, and so does every prefix of
-        # their construction path.
-        ok = (children[:, self.pos_cols].sum(axis=1) <= w.max_b) & (
-            children[:, self.neg_cols].sum(axis=1) <= w.max_a
-        )
-        stats.pruned_side_sums += int(len(children) - ok.sum())
-        children = children[ok]
-        child_nodes = child_nodes[ok]
-
+        self.stats.children += len(children)
         is_solution = child_nodes == zero_idx
-        if is_solution.any():
-            self.emit(children[is_solution])
-
-        proposals = children[~is_solution]
-        prop_nodes = child_nodes[~is_solution]
-        if len(proposals):
-            dominated = self.index.any_dominator(proposals)
-            stats.pruned_dominated += int(dominated.sum())
-            proposals = proposals[~dominated]
-            prop_nodes = prop_nodes[~dominated]
-        if self.check and len(proposals):
-            uniq, first_idx = np.unique(proposals, axis=0, return_index=True)
-            stats.duplicate_walks += len(proposals) - len(uniq)
-            proposals = uniq
-            prop_nodes = prop_nodes[first_idx]
-        return proposals, prop_nodes
+        live = ~is_solution
+        proposals = children[live]
+        keep = self.settle(children[is_solution], proposals)
+        return proposals[keep], child_nodes[live][keep]
 
 
 def graph_solve_weights(
@@ -317,8 +291,9 @@ def graph_solve_weights(
 
     With ``check_invariants`` every level also counts duplicate walks,
     duplicate emissions and dominated emissions into ``stats`` and drops
-    them; the scan rule and the equal-sum argument prove all three counts
-    stay zero, so by default the search does not pay for them.
+    them, and counts children over a side-sum cap; the scan rule, the
+    equal-sum argument and the revisit argument prove all four counts stay
+    zero, so by default the search does not pay for them.
     """
     if not w.has_both_signs:
         return []
@@ -331,8 +306,7 @@ def graph_solve_weights(
     # same uniqueness argument as the completion procedure).
     n = len(w)
     walks: list[_Walk] = [
-        ((0,) * i + (1,) + (0,) * (n - i - 1), w.w[i], 1, 0)
-        for i in w.positive_positions
+        ((0,) * i + (1,) + (0,) * (n - i - 1), w.w[i]) for i in w.positive_positions
     ]
     wide = None  # (rows, nodes) while the frontier is wide; walks is then stale
     while True:

@@ -12,7 +12,15 @@ from diobasis.completion import (
     completion_step,
     initial_proposals,
 )
-from diobasis.core import Equation, WeightVector, build_weights, oracle_basis
+from diobasis.core import (
+    Equation,
+    TimeLimitError,
+    WeightVector,
+    build_weights,
+    insert_minimal,
+    oracle_basis,
+    parse_equation,
+)
 from diobasis.lex import lex_solve
 
 
@@ -84,12 +92,33 @@ class TestCompletionStep:
         for _ in range(20):
             solutions, pset = completion_step(w, pset, found)
             for s in solutions:
-                from diobasis.core import insert_minimal
-
                 insert_minimal(found, s)
             assert all(p.d != 0 for p in pset)
             if not pset:
                 break
+
+
+class TestCompletionDeadline:
+    def test_deadline_is_checked_inside_a_level(self):
+        w = build_weights(parse_equation("53 36 29 21 = 11 38 82 107"))
+        proposals, found = initial_proposals(w), []
+        while len(proposals) < 2000:
+            emissions, proposals = completion_step(w, proposals, found)
+            for sol in emissions:
+                insert_minimal(found, sol)
+
+        class SecondCheckExpires:
+            checks = 0
+
+            def check(self):
+                self.checks += 1
+                if self.checks == 2:
+                    raise TimeLimitError("expired")
+
+        stats = CompletionStats()
+        with pytest.raises(TimeLimitError):
+            completion_step(w, proposals, found, stats=stats, deadline=SecondCheckExpires())
+        assert 0 < stats.proposals_processed <= 256 < len(proposals)
 
 
 class TestCompletionInvariants:
@@ -116,8 +145,6 @@ class TestCompletionInvariants:
             solutions, pset = completion_step(w, pset, found)
             for s in solutions:
                 assert sum(s) == level + 1
-                from diobasis.core import insert_minimal
-
                 insert_minimal(found, s)
             level += 1
             assert level < 60

@@ -36,3 +36,28 @@ def test_wrap_point_resolves_to_a_callable(module, attribute):
 
 def test_workloads_import():
     assert load("workloads").WORKLOADS
+
+
+def stats_reads():
+    """(call, field) for every counter the benchmark reads off a stats record."""
+    calls = load("workloads").CALLS
+    fields = [*load("run").STATS_FIELDS.values(), ("lex", "insert.evicted"), ("graph", "max_frontier")]
+    return [
+        pytest.param(call, field, id=f"{call}:{field}")
+        for owner, field in fields
+        for call in calls
+        if call.split(".")[0] == owner
+    ]
+
+
+@pytest.mark.parametrize("call,field", stats_reads())
+def test_stats_field_resolves(call, field):
+    record = load("workloads").CALLS[call][0]()
+    for name in field.split("."):
+        record = getattr(record, name)
+    assert isinstance(record, int)
+
+
+def test_every_stats_owner_has_a_call():
+    prefixes = {call.split(".")[0] for call in load("workloads").CALLS}
+    assert {owner for owner, _ in load("run").STATS_FIELDS.values()} <= prefixes
