@@ -29,7 +29,6 @@ from .core import (
     ext_gcd,
     format_basis,
     insert_minimal,
-    normalize_zero_weights,
     oracle_basis,
     pareto_min,
     parse_equation,
@@ -42,27 +41,23 @@ from .lex import (
     LexVariant,
     TailKind,
     lex_solve,
-    lex_solve_weights,
     tail_solve,
 )
 from .completion import (
     CompletionStats,
     Proposal,
     completion_solve,
-    completion_solve_weights,
     completion_step,
 )
 from .graph import (
     DefectGraph,
     build_defect_graph,
     graph_solve,
-    graph_solve_weights,
     render_adjacency,
 )
 from .slopes import (
     slopes3,
     slopes_solve,
-    slopes_solve_weights,
     solve3_general,
 )
 from .acu import (

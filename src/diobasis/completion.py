@@ -19,6 +19,7 @@ discard a prefix of a minimal solution's path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .core import (
     BasisList,
@@ -27,9 +28,9 @@ from .core import (
     InsertStats,
     Solution,
     WeightVector,
-    build_weights,
     insert_minimal,
     is_dominated,
+    solve_normalized,
 )
 
 
@@ -131,26 +132,19 @@ def completion_step(
 
 
 def completion_solve(
-    eq: Equation,
+    problem: Equation | Sequence[int],
     *,
     stats: CompletionStats | None = None,
     time_limit: float | None = None,
 ) -> BasisList:
-    """Basis of an equation by the completion procedure."""
-    return completion_solve_weights(
-        build_weights(eq), stats=stats, time_limit=time_limit
-    )
+    """Basis of an equation or a signed weight sequence by the completion
+    procedure (normalized by ``core.solve_normalized``)."""
+    return solve_normalized(problem, _solve, stats, Deadline.maybe(time_limit))
 
 
-def completion_solve_weights(
-    w: WeightVector,
-    *,
-    stats: CompletionStats | None = None,
-    time_limit: float | None = None,
+def _solve(
+    w: WeightVector, stats: CompletionStats | None, deadline: Deadline | None
 ) -> BasisList:
-    if not w.has_both_signs:
-        return []
-    deadline = Deadline.maybe(time_limit)
     insert_stats = stats.insert if stats else None
     basis: BasisList = []
     pset = initial_proposals(w)

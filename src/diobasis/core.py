@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -128,8 +129,9 @@ class Equation:
 class WeightVector:
     """Signed weight form of an equation: positive entries are lhs
     coefficients, negative entries are negated rhs coefficients.  Zero
-    entries are not allowed here; route them through
-    :func:`normalize_zero_weights` first.
+    entries are not allowed here: the solvers take raw weight sequences,
+    zeros included, through :func:`solve_normalized`, which splits the
+    zeros off before building one.
     """
 
     w: tuple[int, ...]
@@ -453,46 +455,6 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
-class WeightNormalization:
-    """Result of stripping zero weights from a raw weight list.
-
-    A zero weight means the unknown is unconstrained in isolation, so its
-    unit vector is itself a basis member and the position drops out of the
-    search.  ``expand`` maps residual-space solutions back to full length.
-    """
-
-    original_length: int
-    kept_positions: tuple[int, ...]
-    residual: WeightVector | None
-    unit_solutions: tuple[Solution, ...]
-
-    def expand(self, x: Sequence[int]) -> Solution:
-        full = [0] * self.original_length
-        for pos, value in zip(self.kept_positions, x):
-            full[pos] = value
-        return tuple(full)
-
-
-def normalize_zero_weights(weights: Sequence[int]) -> WeightNormalization:
-    """Split a raw weight list into unit basis members (zero positions) and a
-    zero-free residual weight vector.  With no zeros this is a pass-through."""
-    weights = tuple(weights)
-    n = len(weights)
-    zero_positions = [i for i, wi in enumerate(weights) if wi == 0]
-    kept = tuple(i for i, wi in enumerate(weights) if wi != 0)
-    units = tuple(
-        tuple(1 if j == i else 0 for j in range(n)) for i in zero_positions
-    )
-    residual = WeightVector(tuple(weights[i] for i in kept)) if kept else None
-    return WeightNormalization(
-        original_length=n,
-        kept_positions=kept,
-        residual=residual,
-        unit_solutions=units,
-    )
-
-
 def shared_weights(lhs: Sequence[int], rhs: Sequence[int]) -> list[int]:
     """Weights for the shared-unknown form, where the same unknown carries a
     coefficient on each side: w_i = lhs_i - rhs_i (zeros possible)."""
@@ -502,19 +464,45 @@ def shared_weights(lhs: Sequence[int], rhs: Sequence[int]) -> list[int]:
 
 
 def solve_normalized(
-    weights: Sequence[int],
-    solver: Callable[[WeightVector], BasisList],
+    problem: Equation | Sequence[int],
+    search: Callable[..., BasisList],
+    *args,
 ) -> BasisList:
-    """Solve a raw weight list (zeros allowed) with ``solver`` and re-embed.
+    """The one path from a problem to a solver: normalize, then ``search``.
 
-    Unit members from zero positions are merged with the residual solutions;
-    a residual with weights of only one sign has no nonzero solutions.
+    ``problem`` is an :class:`Equation` or a raw signed weight sequence
+    whose entries are ints of magnitude at most ``COEFFICIENT_LIMIT``, zeros
+    allowed.  The weights are divided by their gcd, which leaves the set of
+    solutions unchanged but not the solvers' bounds.  A zero weight leaves
+    its unknown free, so its unit vector is a basis member and the position
+    drops out.  Weights of one sign have no nonzero solution.  What remains
+    goes to ``search(w, *args)`` as a zero-free :class:`WeightVector` with
+    both signs, and its sorted basis is returned as it is unless zeros were
+    split off, in which case the solutions are re-embedded and merged with
+    the unit members.
     """
-    norm = normalize_zero_weights(weights)
-    out: BasisList = list(norm.unit_solutions)
-    if norm.residual is not None and norm.residual.has_both_signs:
-        for sol in solver(norm.residual):
-            out.append(norm.expand(sol))
+    if isinstance(problem, Equation):
+        weights = problem.lhs + tuple(-b for b in problem.rhs)
+    else:
+        weights = tuple(problem)
+        for wi in weights:
+            if not isinstance(wi, int) or isinstance(wi, bool) or abs(wi) > COEFFICIENT_LIMIT:
+                raise CoefficientRangeError(
+                    f"weight {wi!r} is not an integer in "
+                    f"[-{COEFFICIENT_LIMIT}, {COEFFICIENT_LIMIT}]"
+                )
+    g = math.gcd(*weights)
+    if g > 1:
+        weights = tuple(wi // g for wi in weights)
+    w = WeightVector(tuple(wi for wi in weights if wi))
+    basis = search(w, *args) if w.has_both_signs else []
+    if len(w) == len(weights):
+        return basis
+    n = len(weights)
+    out = [tuple(int(j == i) for j in range(n)) for i, wi in enumerate(weights) if not wi]
+    for sol in basis:
+        values = iter(sol)
+        out.append(tuple(next(values) if wi else 0 for wi in weights))
     return sorted(out)
 
 

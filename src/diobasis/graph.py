@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .core import (
     ResourceLimitError,
     Solution,
     WeightVector,
-    build_weights,
+    solve_normalized,
 )
 
 DEFAULT_FRONTIER_CAP = 2**26
@@ -123,22 +123,6 @@ class GraphStats:
     side_sum_overflows: int = 0
     max_frontier: int = 0
     insert: InsertStats = field(default_factory=InsertStats)
-
-
-def graph_solve(
-    eq: Equation,
-    *,
-    frontier_cap: int = DEFAULT_FRONTIER_CAP,
-    stats: GraphStats | None = None,
-    time_limit: float | None = None,
-) -> BasisList:
-    """Basis of an equation by the graph algorithm."""
-    return graph_solve_weights(
-        build_weights(eq),
-        frontier_cap=frontier_cap,
-        stats=stats,
-        time_limit=time_limit,
-    )
 
 
 # A walk of a narrow level: (label counts, defect).
@@ -279,15 +263,16 @@ class _Search:
         return proposals[keep], child_nodes[live][keep]
 
 
-def graph_solve_weights(
-    w: WeightVector,
+def graph_solve(
+    problem: Equation | Sequence[int],
     *,
     frontier_cap: int = DEFAULT_FRONTIER_CAP,
     stats: GraphStats | None = None,
     time_limit: float | None = None,
     check_invariants: bool = False,
 ) -> BasisList:
-    """Basis of a weight vector by the graph algorithm.
+    """Basis of an equation or a signed weight sequence by the graph
+    algorithm (normalized by ``core.solve_normalized``).
 
     With ``check_invariants`` every level also counts duplicate walks,
     duplicate emissions and dominated emissions into ``stats`` and drops
@@ -295,10 +280,23 @@ def graph_solve_weights(
     equal-sum argument and the revisit argument prove all four counts stay
     zero, so by default the search does not pay for them.
     """
-    if not w.has_both_signs:
-        return []
-    stats = stats if stats is not None else GraphStats()
-    deadline = Deadline.maybe(time_limit)
+    return solve_normalized(
+        problem,
+        _solve,
+        frontier_cap,
+        stats if stats is not None else GraphStats(),
+        Deadline.maybe(time_limit),
+        check_invariants,
+    )
+
+
+def _solve(
+    w: WeightVector,
+    frontier_cap: int,
+    stats: GraphStats,
+    deadline: Deadline | None,
+    check_invariants: bool,
+) -> BasisList:
     graph = build_defect_graph(w)
     search = _Search(w, graph, stats, check_invariants)
 

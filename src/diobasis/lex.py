@@ -26,9 +26,9 @@ from .core import (
     InsertStats,
     Solution,
     WeightVector,
-    build_weights,
     ext_gcd,
     insert_minimal,
+    solve_normalized,
 )
 
 
@@ -70,28 +70,26 @@ class LexStats:
 
 
 def lex_solve(
-    eq: Equation,
+    problem: Equation | Sequence[int],
     variant: LexVariant = DEFAULT_VARIANT,
     *,
     stats: LexStats | None = None,
     time_limit: float | None = None,
 ) -> BasisList:
-    """Basis of an equation by bounded lexicographic enumeration."""
-    return lex_solve_weights(
-        build_weights(eq), variant, stats=stats, time_limit=time_limit
+    """Basis of an equation or a signed weight sequence by bounded
+    lexicographic enumeration (normalized by ``core.solve_normalized``)."""
+    return solve_normalized(
+        problem,
+        _solve,
+        variant,
+        stats if stats is not None else LexStats(),
+        Deadline.maybe(time_limit),
     )
 
 
-def lex_solve_weights(
-    w: WeightVector,
-    variant: LexVariant = DEFAULT_VARIANT,
-    *,
-    stats: LexStats | None = None,
-    time_limit: float | None = None,
+def _solve(
+    w: WeightVector, variant: LexVariant, stats: LexStats, deadline: Deadline | None
 ) -> BasisList:
-    if not w.has_both_signs:
-        return []
-    stats = stats if stats is not None else LexStats()
     basis: BasisList = []
 
     def emit(vector: Solution) -> None:
@@ -106,7 +104,7 @@ def lex_solve_weights(
         tail_leaf(w, variant, assigned, emit),
         assigned,
         stats=stats,
-        deadline=Deadline.maybe(time_limit),
+        deadline=deadline,
         bound=variant.bound,
     )
     return basis

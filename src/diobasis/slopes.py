@@ -6,8 +6,8 @@ running-sum caps and envelope pruning), with x, y and z as its tail.
 The three-unknown solver walks the staircase of minimal (y, z) points
 directly: gcd arithmetic yields the extreme solutions and the first interior
 point, and a Euclidean update of the slope deltas (dy, dz) generates the
-rest with z strictly increasing.  Candidates are dominance-filtered at the
-end, which also absorbs the degenerate seed cases.
+rest with z strictly increasing.  Only the seeds are dominance-filtered,
+which absorbs the degenerate seed cases.
 
 For residuals a*x = b*y + c*z + v with v != 0 (they appear once the wrapper
 enumerates the other unknowns) the generation is not covered by the direct
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
     BasisList,
@@ -29,11 +30,12 @@ from .core import (
     Equation,
     Solution,
     WeightVector,
-    build_weights,
     ext_gcd,
     pareto_min,
+    solve_normalized,
 )
-from .lex import BoundKind, LexVariant, TailKind, lex_solve_weights, prefix_walk
+from .lex import DEFAULT_VARIANT, LexStats, prefix_walk
+from .lex import _solve as _lex_solve
 
 
 def multiplier(a: int, b: int) -> int:
@@ -105,11 +107,20 @@ def slopes3_generation(
 
 
 def slopes3(a: int, b: int, c: int, deadline: Deadline | None = None) -> BasisList:
-    """Minimal natural solutions of a*x = b*y + c*z, sorted."""
+    """Minimal natural solutions of a*x = b*y + c*z, sorted.
+
+    The descent walks the staircase of minimal solutions, so it is an
+    antichain (z strictly up, y strictly down) and only the at most three
+    seeds need filtering.  No descent triple bounds a seed: the seeds
+    (b/gb, ymax, 0) and (c/gc, 0, zmax) each have a zero coordinate that no
+    descent triple has, and the interior seed's z = dz is below every
+    descent z.  So the basis is the seeds that no other seed bounds, plus
+    the descent.
+    """
     if min(a, b, c) < 1:
         raise ValueError("coefficients must be >= 1")
     seeds, descent = slopes3_generation(a, b, c, deadline)
-    return pareto_min(seeds + descent, deadline)
+    return sorted(pareto_min(seeds) + descent)
 
 
 @functools.lru_cache(maxsize=64)
@@ -204,39 +215,29 @@ class SlopesStats:
 
 
 def slopes_solve(
-    eq: Equation,
+    problem: Equation | Sequence[int],
     *,
     stats: SlopesStats | None = None,
     time_limit: float | None = None,
 ) -> BasisList:
-    """Basis of an equation: enumerate all but three unknowns, solve the rest."""
-    return slopes_solve_weights(
-        build_weights(eq), stats=stats, time_limit=time_limit
+    """Basis of an equation or a signed weight sequence: enumerate all but
+    three unknowns, solve the rest (normalized by ``core.solve_normalized``)."""
+    return solve_normalized(
+        problem,
+        _solve,
+        stats if stats is not None else SlopesStats(),
+        Deadline.maybe(time_limit),
     )
 
 
-def slopes_solve_weights(
-    w: WeightVector,
-    *,
-    stats: SlopesStats | None = None,
-    time_limit: float | None = None,
-) -> BasisList:
-    if not w.has_both_signs:
-        return []
+def _solve(w: WeightVector, stats: SlopesStats, deadline: Deadline | None) -> BasisList:
     if len(w) < 3:
-        return lex_solve_weights(
-            w,
-            LexVariant(BoundKind.LAMBERT, TailKind.LAST_ONE),
-            time_limit=time_limit,
-        )
+        return _lex_solve(w, DEFAULT_VARIANT, LexStats(), deadline)
     if len(w.negative_positions) < 2:
         # One unknown on the negative side: the defect-zero set is invariant
         # under negating all weights, which swaps the sides.
-        mirrored = WeightVector(tuple(-wi for wi in w.w))
-        return slopes_solve_weights(mirrored, stats=stats, time_limit=time_limit)
+        w = WeightVector(tuple(-wi for wi in w.w))
 
-    stats = stats if stats is not None else SlopesStats()
-    deadline = Deadline.maybe(time_limit)
     weights = w.w
     n = len(w)
 

@@ -8,7 +8,6 @@ from diobasis.completion import (
     CompletionStats,
     Proposal,
     completion_solve,
-    completion_solve_weights,
     completion_step,
     initial_proposals,
 )
@@ -32,13 +31,13 @@ def random_equation(rng, max_coeff=7, max_side=3):
 
 class TestCompletionSolve:
     def test_one_equals_two(self):
-        assert completion_solve_weights(WeightVector((1, -2))) == [(2, 1)]
+        assert completion_solve((1, -2)) == [(2, 1)]
 
     def test_balanced_pair(self):
-        assert completion_solve_weights(WeightVector((1, -1))) == [(1, 1)]
+        assert completion_solve((1, -1)) == [(1, 1)]
 
     def test_three_unknowns(self):
-        assert completion_solve_weights(WeightVector((2, 1, -1))) == [(0, 1, 1), (1, 0, 2)]
+        assert completion_solve((2, 1, -1)) == [(0, 1, 1), (1, 0, 2)]
 
     def test_matches_oracle_and_lex(self):
         rng = random.Random(2024)
@@ -160,4 +159,4 @@ class TestCompletionInvariants:
             assert stats.max_defect_seen <= w.max_a
 
     def test_single_signed_weights_have_empty_basis(self):
-        assert completion_solve_weights(WeightVector((2, 3))) == []
+        assert completion_solve((2, 3)) == []

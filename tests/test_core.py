@@ -27,7 +27,6 @@ from diobasis.core import (
     ext_gcd,
     format_basis,
     insert_minimal,
-    normalize_zero_weights,
     oracle_basis,
     oracle_box_size,
     pareto_min,
@@ -35,7 +34,11 @@ from diobasis.core import (
     shared_weights,
     solve_normalized,
 )
-from diobasis.graph import graph_solve_weights
+from diobasis.bench import SOLVERS
+from diobasis.completion import CompletionStats
+from diobasis.graph import GraphStats, graph_solve
+from diobasis.lex import LexStats
+from diobasis.slopes import SlopesStats
 
 EQ6 = Equation((104, 167), (165, 154, 148, 159, 174, 150))
 
@@ -299,33 +302,122 @@ class TestExtGcd:
         assert g == math.gcd(a, b) == ma * a + mb * b
 
 
+def normalized(weights):
+    """``solve_normalized`` over a search that records the weight vectors it
+    gets and solves them with the graph solver."""
+    seen = []
+
+    def search(w):
+        seen.append(w.w)
+        return graph_solve(w.w)
+
+    return solve_normalized(weights, search), seen
+
+
 class TestNormalizeZeroWeights:
     def test_fully_cancelling_shared_unknown(self):
-        norm = normalize_zero_weights(shared_weights([2], [2]))
-        assert norm.unit_solutions == ((1,),)
-        assert norm.residual is None
+        basis, seen = normalized(shared_weights([2], [2]))
+        assert basis == [(1,)]
+        assert seen == []
 
     def test_pass_through(self):
-        norm = normalize_zero_weights((2, 3, -1))
-        assert norm.unit_solutions == ()
-        assert norm.residual is not None
-        assert norm.residual.w == (2, 3, -1)
-        assert norm.expand((5, 6, 7)) == (5, 6, 7)
+        basis, seen = normalized((2, 3, -1))
+        assert seen == [(2, 3, -1)]
+        assert basis == [(0, 1, 3), (1, 0, 2)]
+        # Without zeros the search's basis comes back as it is.
+        found = [(1, 0, 2)]
+        assert solve_normalized((2, 3, -1), lambda w: found) is found
 
     def test_middle_zero(self):
-        norm = normalize_zero_weights((1, 0, -1))
-        assert norm.unit_solutions == ((0, 1, 0),)
-        assert norm.residual.w == (1, -1)
-        assert norm.expand((1, 1)) == (1, 0, 1)
+        basis, seen = normalized((1, 0, -1))
+        assert seen == [(1, -1)]
+        assert basis == [(0, 1, 0), (1, 0, 1)]
 
     def test_solve_shared_equation(self):
         # x1 + 3*x2 = 2*x1 + x2 over the same unknowns: weights (-1, 2).
-        basis = solve_normalized(shared_weights([1, 3], [2, 1]), graph_solve_weights)
-        assert basis == [(2, 1)]
+        for name, solve in SOLVERS.items():
+            assert solve(shared_weights([1, 3], [2, 1])) == [(2, 1)], name
 
     def test_solve_shared_with_unit(self):
-        basis = solve_normalized([1, 0, -1], graph_solve_weights)
-        assert basis == [(0, 1, 0), (1, 0, 1)]
+        for name, solve in SOLVERS.items():
+            assert solve([1, 0, -1]) == [(0, 1, 0), (1, 0, 1)], name
+
+    def test_zeros_and_a_common_factor(self):
+        basis, seen = normalized([4, 0, -6])
+        assert seen == [(2, -3)]
+        assert basis == [(0, 1, 0), (3, 0, 2)]
+        for name, solve in SOLVERS.items():
+            assert solve([4, 0, -6]) == [(0, 1, 0), (3, 0, 2)], name
+
+    def test_one_sign_left_has_only_unit_members(self):
+        cases = [
+            ((2, 3), []),
+            ((2, 0, 3), [(0, 1, 0)]),
+            ((0, -1, 0), [(0, 0, 1), (1, 0, 0)]),
+        ]
+        for weights, want in cases:
+            assert normalized(weights) == (want, [])
+            for name, solve in SOLVERS.items():
+                assert solve(weights) == want, (name, weights)
+
+    def test_equation_is_divided_by_its_gcd(self):
+        basis, seen = normalized(Equation((6, 9), (12,)))
+        assert seen == [(2, 3, -4)]
+        assert basis == oracle_basis(Equation((2, 3), (4,)))
+
+
+class TestFrontDoor:
+    STATS = {
+        "lex": LexStats,
+        "completion": CompletionStats,
+        "graph": GraphStats,
+        "slopes": SlopesStats,
+    }
+
+    @pytest.mark.parametrize("name", SOLVERS)
+    @pytest.mark.parametrize("text", ["5 = 3 2", "6 4 3 = 7", "3 2 = 4 1", "7 3 = 5 4 2"])
+    def test_scaling_changes_nothing(self, name, text):
+        eq = parse_equation(text)
+        for k in (2, 5):
+            scaled = Equation(tuple(k * c for c in eq.lhs), tuple(k * c for c in eq.rhs))
+            s1, s2 = self.STATS[name](), self.STATS[name]()
+            assert SOLVERS[name](scaled, stats=s1) == SOLVERS[name](eq, stats=s2)
+            assert s1 == s2
+
+    @pytest.mark.parametrize(
+        "name, text, reduced",
+        [
+            ("lex", "60 55 50 = 45 40 35", "12 11 10 = 9 8 7"),
+            ("slopes", "60 60 60 = 60 60 60", "1 1 1 = 1 1 1"),
+        ],
+    )
+    def test_scaled_equation_finishes_within_the_limit(self, name, text, reduced):
+        solve = SOLVERS[name]
+        basis = solve(parse_equation(text), time_limit=5)
+        assert basis == solve(parse_equation(reduced))
+
+    @pytest.mark.parametrize("name", SOLVERS)
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (2**40, -1),
+            (1, -(COEFFICIENT_LIMIT + 1)),
+            (True, -1),
+            (2, -1.0),
+            ("2", -1),
+        ],
+        ids=["huge", "over_limit", "bool", "float", "str"],
+    )
+    def test_raw_weights_are_range_checked(self, name, weights):
+        with pytest.raises(CoefficientRangeError):
+            SOLVERS[name](weights)
+
+    @pytest.mark.parametrize("name", SOLVERS)
+    def test_weights_at_the_limit_are_accepted(self, name):
+        assert SOLVERS[name]((COEFFICIENT_LIMIT, -COEFFICIENT_LIMIT, 0)) == [
+            (0, 0, 1),
+            (1, 1, 0),
+        ]
 
 
 class TestOracle:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from diobasis import graph
 from diobasis.bench import SOLVERS
-from diobasis.completion import completion_solve_weights
+from diobasis.completion import completion_solve
 from diobasis.core import (
     Equation,
     ResourceLimitError,
@@ -21,7 +21,6 @@ from diobasis.graph import (
     GraphStats,
     build_defect_graph,
     graph_solve,
-    graph_solve_weights,
     render_adjacency,
 )
 
@@ -109,7 +108,7 @@ class TestGraphSolve:
             rng = random.Random(31)
             for _ in range(60):
                 w = random_weights(rng, 13, 6)
-                assert graph_solve_weights(w) == completion_solve_weights(w), (path, w.w)
+                assert graph_solve(w.w) == completion_solve(w.w), (path, w.w)
 
     def test_matches_oracle(self):
         rng = random.Random(32)
@@ -127,7 +126,7 @@ class TestGraphSolve:
             for _ in range(40):
                 w = random_weights(rng, 11, 5)
                 stats = GraphStats()
-                graph_solve_weights(w, stats=stats, check_invariants=True)
+                graph_solve(w.w, stats=stats, check_invariants=True)
                 assert stats.duplicate_walks == 0
                 assert stats.duplicate_emissions == 0
                 assert stats.insert.rejected == 0
@@ -142,7 +141,7 @@ class TestGraphSolve:
             graph_solve(Equation((335,), (473, 1021)), frontier_cap=30)
 
     def test_single_signed_weights(self):
-        assert graph_solve_weights(WeightVector((2, 3))) == []
+        assert graph_solve((2, 3)) == []
 
 
 # (levels, walks_expanded, children, pruned_dominated, max_frontier,
@@ -191,10 +190,6 @@ class TestMetamorphic:
     @settings(max_examples=40, deadline=None)
     @given(lhs=sides, rhs=sides, factor=st.integers(2, 5))
     def test_common_factor_leaves_the_basis_unchanged(self, solve, lhs, rhs, factor):
-        if solve is SOLVERS["lex"]:
-            # Lex's bounds grow with the coefficients: scaled to 60, three
-            # unknowns a side take it tens of seconds, two a side 0.1 s.
-            lhs, rhs = lhs[:2], rhs[:2]
         scaled = Equation(tuple(factor * c for c in lhs), tuple(factor * c for c in rhs))
         assert solve(scaled) == solve(Equation(tuple(lhs), tuple(rhs)))
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from diobasis.core import Equation, oracle_basis
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -61,3 +63,12 @@ def test_stats_field_resolves(call, field):
 def test_every_stats_owner_has_a_call():
     prefixes = {call.split(".")[0] for call in load("workloads").CALLS}
     assert {owner for owner, _ in load("run").STATS_FIELDS.values()} <= prefixes
+
+
+@pytest.mark.parametrize("call", list(load("workloads").CALLS))
+def test_every_call_solves_a_small_equation(call):
+    # Called as the benchmark calls it, with its stats record, so that a
+    # signature change in a solver entry fails here and not only there.
+    factory, solve = load("workloads").CALLS[call]
+    eq = Equation((3, 2), (4, 1, 5))
+    assert solve(eq, factory() if factory else None, 10.0) == oracle_basis(eq)

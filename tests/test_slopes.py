@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diobasis.core import (
@@ -77,6 +77,13 @@ def scan3_reference(a, b, c, v, x_cap=None, yz_cap=None):
     return pareto_min(candidates)
 
 
+def slopes3_reference(a, b, c):
+    """Seeds and descent filtered together: what ``slopes3``, which filters
+    only the seeds, must reproduce."""
+    seeds, descent = slopes3_generation(a, b, c)
+    return pareto_min(seeds + descent)
+
+
 class TestMultiplier:
     @pytest.mark.parametrize("a,b", [(3, 5), (104, 167), (6, 4), (1, 1)])
     def test_coefficient_of_first_argument(self, a, b):
@@ -112,6 +119,14 @@ class TestSlopes3:
             ys = [y for _, y, _ in descent]
             assert zs == sorted(zs) and len(set(zs)) == len(zs)
             assert ys == sorted(ys, reverse=True) and len(set(ys)) == len(ys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 300), st.integers(1, 300))
+    @example(1, 1, 1)
+    @example(1021, 1020, 1019)
+    @example(20011, 20010, 20009)
+    def test_matches_filtering_seeds_and_descent_together(self, a, b, c):
+        assert slopes3(a, b, c) == slopes3_reference(a, b, c)
 
     def test_pairwise_incomparable(self):
         for a, b, c in [(12, 8, 9), (7, 7, 7), (20, 3, 17)]:
