@@ -13,7 +13,10 @@ both sides would build every solution once from each end.  We seed the
 positive-side unit vectors; solutions need support on both sides, so nothing
 is lost.  Children with defect zero are emitted as solutions; other children
 survive only while no already-found solution dominates them, which cannot
-discard a prefix of a minimal solution's path.
+discard a prefix of a minimal solution's path.  A child c = x + e_i can only
+be bounded by a solution s with s_i = c_i, since its parent x survived the
+same test one step earlier (``core.DominanceBuckets``), so the test scans
+just those solutions.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Sequence
 from .core import (
     BasisList,
     Deadline,
+    DominanceBuckets,
     Equation,
     InsertStats,
     Solution,
@@ -67,25 +71,41 @@ def initial_proposals(w: WeightVector) -> list[Proposal]:
 def completion_step(
     w: WeightVector,
     proposals: list[Proposal],
-    found: BasisList,
+    found: DominanceBuckets,
     *,
     stats: CompletionStats | None = None,
+    check_invariants: bool = False,
     strict: bool = False,
     deadline: Deadline | None = None,
 ) -> tuple[list[Solution], list[Proposal]]:
     """One completion round: extend every proposal, split off solutions.
 
-    ``found`` must be lex-sorted; it is only read.  Children that equal an
-    already-generated vector are deduplicated; ``strict`` turns such a hit
-    into an error instead of a silent merge, since the scan rule makes
-    duplicates impossible on well-formed runs.  ``deadline`` is checked
-    before the first proposal and then every 256 proposals.
+    ``found`` must hold every solution of coordinate sum below the
+    proposals'; it is only read.  A child survives unless ``found.bounds``
+    finds a solution below it, which is exact here (``DominanceBuckets``).
+    The scan rule makes duplicate children impossible, so the step does not
+    look for them.  With ``check_invariants`` it does: children equal to an
+    already-generated vector are counted and dropped, and ``strict`` turns
+    such a hit into an error; every bucket verdict is also checked against
+    ``is_dominated``.  ``deadline`` is checked before the first proposal
+    and then every 256 proposals.
     """
     weights = w.w
     n = len(weights)
+    bounds = found.bounds
+    if check_invariants:
+        ordered = sorted(found.solutions)
+
+        def bounds(child: Solution, i: int) -> bool:
+            hit = found.bounds(child, i)
+            if hit != is_dominated(ordered, child):
+                raise AssertionError(
+                    f"bucket test disagrees with is_dominated on {child}"
+                )
+            return hit
+
     emissions: list[Solution] = []
-    emitted: set[Solution] = set()
-    next_map: dict[tuple[int, ...], Proposal] = {}
+    children: list[Proposal] = []
 
     for k, p in enumerate(proposals):
         if deadline is not None and not k & 255:
@@ -105,30 +125,28 @@ def completion_step(
                 stats.min_defect_seen = min(stats.min_defect_seen, dc)
                 stats.max_defect_seen = max(stats.max_defect_seen, dc)
             if dc == 0:
-                if child in emitted:
-                    if stats:
-                        stats.duplicate_emissions += 1
-                    if strict:
-                        raise AssertionError(
-                            f"duplicate solution emission {child}; scan rule violated"
-                        )
-                else:
-                    emitted.add(child)
-                    emissions.append(child)
-            elif not is_dominated(found, child):
-                if child in next_map:
-                    if stats:
-                        stats.duplicate_proposals += 1
-                    if strict:
-                        raise AssertionError(
-                            f"duplicate proposal {child}; scan rule violated"
-                        )
-                else:
-                    next_map[child] = Proposal(child, dc)
+                emissions.append(child)
+            elif not bounds(child, i):
+                children.append(Proposal(child, dc))
             if x[i] > 0:
                 break
 
-    return emissions, list(next_map.values())
+    if check_invariants:
+        emissions, dropped = _first_copies(emissions, "solution emission", strict)
+        if stats:
+            stats.duplicate_emissions += dropped
+        children, dropped = _first_copies(children, "proposal", strict)
+        if stats:
+            stats.duplicate_proposals += dropped
+    return emissions, children
+
+
+def _first_copies(items: list, what: str, strict: bool) -> tuple[list, int]:
+    """The first copy of each item, in order, and the number of copies dropped."""
+    kept = list(dict.fromkeys(items))
+    if strict and len(kept) < len(items):
+        raise AssertionError(f"duplicate {what}; scan rule violated")
+    return kept, len(items) - len(kept)
 
 
 def completion_solve(
@@ -136,24 +154,44 @@ def completion_solve(
     *,
     stats: CompletionStats | None = None,
     time_limit: float | None = None,
+    check_invariants: bool = False,
 ) -> BasisList:
     """Basis of an equation or a signed weight sequence by the completion
-    procedure (normalized by ``core.solve_normalized``)."""
-    return solve_normalized(problem, _solve, stats, Deadline.maybe(time_limit))
+    procedure (normalized by ``core.solve_normalized``).
+
+    With ``check_invariants`` every step also counts duplicate children,
+    raises on one, and checks each dominance verdict against
+    ``is_dominated``; the scan rule and the bucket argument prove none of
+    that can fire, so by default the search does not pay for it.
+    """
+    return solve_normalized(
+        problem, _solve, stats, Deadline.maybe(time_limit), check_invariants
+    )
 
 
 def _solve(
-    w: WeightVector, stats: CompletionStats | None, deadline: Deadline | None
+    w: WeightVector,
+    stats: CompletionStats | None,
+    deadline: Deadline | None,
+    check_invariants: bool,
 ) -> BasisList:
     insert_stats = stats.insert if stats else None
     basis: BasisList = []
+    found = DominanceBuckets(len(w))
     pset = initial_proposals(w)
     while pset:
         if stats:
             stats.levels += 1
         emissions, pset = completion_step(
-            w, pset, basis, stats=stats, strict=True, deadline=deadline
+            w,
+            pset,
+            found,
+            stats=stats,
+            check_invariants=check_invariants,
+            strict=check_invariants,
+            deadline=deadline,
         )
         for sol in emissions:
             insert_minimal(basis, sol, insert_stats)
+            found.add(sol)
     return basis

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -440,6 +441,47 @@ class DominanceIndex:
                 acc &= masks[k, chunk[:, k]]
             hits.append(acc.any(axis=1))
         return hits[0] if len(hits) == 1 else np.concatenate(hits)
+
+
+class DominanceBuckets:
+    """Exact dominance test for a search that grows vectors by unit steps.
+
+    Found solutions are kept in buckets keyed by (position, value), one entry
+    per nonzero coordinate.  ``bounds(child, i)`` scans the one bucket
+    ``(i, child[i])``.  That is the whole test when c = x + e_i has a
+    nonzero defect, its parent x had a nonzero defect and was bounded by no
+    added solution when it was tested, and every added solution of
+    coordinate sum below |x| was added before that test:
+
+    - Let s be an added solution with s <= c.  s != c, since c has a
+      nonzero defect, so s < c and |s| <= |x|.
+    - s <= x is impossible.  s = x has the wrong defect, and s < x would
+      give |s| < |x|, so s was added before x was tested and bounded it.
+    - s_j <= c_j = x_j for every j != i, so s_i > x_i, and s_i <= c_i =
+      x_i + 1 gives s_i = c_i.
+
+    Completion and the graph search expand level by level in coordinate
+    sum and add each level's solutions before testing the next level's
+    children, which is the condition above.
+    """
+
+    def __init__(self, n: int):
+        self.solutions: list[Solution] = []
+        self.buckets: list[dict[int, list[Solution]]] = [{} for _ in range(n)]
+
+    def add(self, sol: Solution) -> None:
+        self.solutions.append(sol)
+        for bucket, v in zip(self.buckets, sol):
+            if v:
+                bucket.setdefault(v, []).append(sol)
+
+    def bounds(self, child: Solution, i: int) -> bool:
+        """Is some added solution dominated by or equal to ``child``, the
+        search's last step having incremented position ``i``?"""
+        for s in self.buckets[i].get(child[i], ()):
+            if all(map(operator.le, s, child)):
+                return True
+        return False
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:

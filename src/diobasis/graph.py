@@ -22,15 +22,26 @@ most ``NARROW_FRONTIER`` walks is expanded walk by walk, each walk a tuple
 of label counts carried with its defect as an int, so a deep search of thin
 levels costs per walk, not per level.  A wider level is expanded in
 vectorized passes over an int32 array of walks, whose successor nodes come
-from the materialized adjacency table.  Both paths apply the same scan rule
-and hand their children to one method, which indexes the emissions and
-prunes the proposals with one batched call to the ``DominanceIndex``.
+from the materialized adjacency table.  Both paths apply the same scan rule.
+A wide level hands its children to one method, which indexes the emissions
+and prunes the proposals with one batched call to the ``DominanceIndex``.
+
+A narrow level tests each child as it is made, while the search has found at
+most ``BUCKET_SOLUTIONS`` (256) solutions.  The child c = x + e_i extends a
+walk x that survived the prune one level earlier, so a found solution below
+c has a smaller coordinate sum and agrees with c at i: only the solutions
+whose i-th count equals c_i need scanning (``core.DominanceBuckets``).  On a
+thin level that replaces a batched call of fixed cost (about 25 us) by a
+few tuple comparisons.  Past the cap, buckets hold too many solutions to
+scan per child, and every emission of a wide level would pay n bucket
+appends, so narrow levels go back to the batched call.  Emissions go to the
+``DominanceIndex`` as each level ends, on either path.
 
 The scan rule makes duplicate walks impossible, and emissions within a
 level share a coordinate sum, so they never dominate each other or an
 earlier solution.  The search therefore does not test for either, nor for
 side sums; ``check_invariants=True`` runs those audits and counts what
-they find.
+they find, and also runs the bitset test on every child the buckets test.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ import numpy as np
 from .core import (
     BasisList,
     Deadline,
+    DominanceBuckets,
     DominanceIndex,
     Equation,
     InsertStats,
@@ -58,6 +70,11 @@ DEFAULT_FRONTIER_CAP = 2**26
 # wider ones in vectorized passes, whose fixed cost per level a few walks
 # cannot repay.
 NARROW_FRONTIER = 64
+# Narrow levels test each child against the solutions that share its
+# incremented coordinate while the search has found at most this many
+# solutions.  Past that the buckets grow long and a wide level's emissions
+# each pay n bucket appends, so the batched bitset test is cheaper.
+BUCKET_SOLUTIONS = 256
 
 
 class DefectGraph:
@@ -121,6 +138,7 @@ class GraphStats:
     duplicate_walks: int = 0
     duplicate_emissions: int = 0
     side_sum_overflows: int = 0
+    bucket_mismatches: int = 0
     max_frontier: int = 0
     insert: InsertStats = field(default_factory=InsertStats)
 
@@ -135,8 +153,9 @@ class _Search:
 
     A level is expanded by ``narrow_level`` on a list of walk tuples or by
     ``wide_level`` on an int32 array of label counts with the walks' node
-    indices; both apply the same scan rule, and ``settle`` decides which of
-    their children survive.
+    indices; both apply the same scan rule.  ``settle`` decides which of
+    their children survive, except while a narrow level can test each child
+    against the buckets of the solutions found so far.
     """
 
     def __init__(
@@ -158,6 +177,8 @@ class _Search:
         # A child's side sums stay within the per-side caps (module
         # docstring), so every coordinate is at most max(max_a, max_b).
         self.index = DominanceIndex(len(w), max(w.max_a, w.max_b) + 1)
+        # Dropped once the search has found over BUCKET_SOLUTIONS solutions.
+        self.buckets: DominanceBuckets | None = DominanceBuckets(len(w))
 
     def rows(self, counts: list[tuple[int, ...]]) -> np.ndarray:
         if not counts:
@@ -171,58 +192,96 @@ class _Search:
         nodes = np.array([walk[1] for walk in walks]) + self.zero_idx
         return self.rows([walk[0] for walk in walks]), nodes
 
-    def settle(self, emitted: np.ndarray, proposals: np.ndarray) -> np.ndarray:
-        """Index a level's emissions; return a mask of the proposals that no
-        solution found so far bounds."""
-        stats, index = self.stats, self.index
+    def emit(self, emitted: np.ndarray) -> None:
+        """Record a level's emissions and index them."""
+        stats = self.stats
         if self.check:
-            w, positive = self.w, np.array(self.w.w) > 0
-            for rows in (emitted, proposals):
-                over = (rows[:, positive].sum(axis=1) > w.max_b) | (
-                    rows[:, ~positive].sum(axis=1) > w.max_a
-                )
-                stats.side_sum_overflows += int(over.sum())
+            self.count_overflows(emitted)
             # Emissions within a level share a coordinate sum, so they
             # cannot dominate each other or anything found earlier.
             uniq = np.unique(emitted, axis=0)
             stats.duplicate_emissions += len(emitted) - len(uniq)
-            rejected = index.any_dominator(uniq)
+            rejected = self.index.any_dominator(uniq)
             stats.insert.rejected += int(rejected.sum())
             emitted = uniq[~rejected]
-        if len(emitted):
-            stats.insert.inserted += len(emitted)
-            self.solutions.extend(map(tuple, emitted.tolist()))
-            index.add(emitted)
-        keep = ~index.any_dominator(proposals)
+        if not len(emitted):
+            return
+        stats.insert.inserted += len(emitted)
+        new = list(map(tuple, emitted.tolist()))
+        self.solutions.extend(new)
+        self.index.add(emitted)
+        if self.buckets is not None:
+            if len(self.solutions) > BUCKET_SOLUTIONS:
+                self.buckets = None
+            else:
+                for sol in new:
+                    self.buckets.add(sol)
+
+    def settle(self, emitted: np.ndarray, proposals: np.ndarray) -> np.ndarray:
+        """Index a level's emissions; return a mask of the proposals that no
+        solution found so far bounds."""
+        stats = self.stats
+        self.emit(emitted)
+        keep = ~self.index.any_dominator(proposals)
         stats.pruned_dominated += len(keep) - int(np.count_nonzero(keep))
-        if self.check and keep.any():
-            kept = np.flatnonzero(keep)
-            _, first = np.unique(proposals[kept], axis=0, return_index=True)
-            stats.duplicate_walks += len(kept) - len(first)
-            keep[:] = False
-            keep[kept[first]] = True
+        if self.check:
+            self.count_overflows(proposals)
+            if keep.any():
+                kept = np.flatnonzero(keep)
+                _, first = np.unique(proposals[kept], axis=0, return_index=True)
+                stats.duplicate_walks += len(kept) - len(first)
+                keep[:] = False
+                keep[kept[first]] = True
         return keep
 
+    def count_overflows(self, rows: np.ndarray) -> None:
+        w, positive = self.w, np.array(self.w.w) > 0
+        over = (rows[:, positive].sum(axis=1) > w.max_b) | (
+            rows[:, ~positive].sum(axis=1) > w.max_a
+        )
+        self.stats.side_sum_overflows += int(over.sum())
+
+    def cross_check(self, child: Solution, i: int) -> bool:
+        """Count a bucket verdict on ``child`` that the bitset index
+        contradicts; prune nothing, so that ``settle`` decides."""
+        bitset = bool(self.index.any_dominator(np.array([child], dtype=np.int32))[0])
+        self.stats.bucket_mismatches += self.buckets.bounds(child, i) != bitset
+        return False
+
     def narrow_level(self, walks: list[_Walk]) -> list[_Walk]:
-        """Expand a level walk by walk; returns the next level's walks."""
+        """Expand a level walk by walk; returns the next level's walks.
+
+        While the search keeps buckets, each child is tested as it is made;
+        otherwise ``settle`` tests them all at the end of the level.
+        """
         weights = self.w.w
+        if self.buckets is None:
+            bounds = None
+        else:
+            bounds = self.cross_check if self.check else self.buckets.bounds
         emitted: list[Solution] = []
         proposals: list[_Walk] = []
-        children = 0
+        children = pruned = 0
         for x, d in walks:
             for i in self.pos_desc if d < 0 else self.neg_desc:
                 children += 1
                 child = x[:i] + (x[i] + 1,) + x[i + 1 :]
                 dc = d + weights[i]
-                if dc:
-                    proposals.append((child, dc))
-                else:
+                if not dc:
                     emitted.append(child)
+                elif bounds is not None and bounds(child, i):
+                    pruned += 1
+                else:
+                    proposals.append((child, dc))
                 if x[i]:
                     break
         self.stats.children += children
-        keep = self.settle(self.rows(emitted), self.rows([p[0] for p in proposals]))
-        return list(compress(proposals, keep.tolist()))
+        self.stats.pruned_dominated += pruned
+        if bounds is None or self.check:
+            keep = self.settle(self.rows(emitted), self.rows([p[0] for p in proposals]))
+            return list(compress(proposals, keep.tolist()))
+        self.emit(self.rows(emitted))
+        return proposals
 
     def wide_level(
         self, frontier: np.ndarray, nodes: np.ndarray

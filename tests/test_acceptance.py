@@ -102,7 +102,7 @@ def test_criterion_4_completion_uniqueness():
     duplicates = 0
     for eq in agreement_corpus():
         stats = CompletionStats()
-        completion_solve(eq, stats=stats)
+        completion_solve(eq, stats=stats, check_invariants=True)
         duplicates += stats.duplicate_emissions + stats.duplicate_proposals
         duplicates += stats.insert.rejected
     assert duplicates == 0

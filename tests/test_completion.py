@@ -12,11 +12,11 @@ from diobasis.completion import (
     initial_proposals,
 )
 from diobasis.core import (
+    DominanceBuckets,
     Equation,
     TimeLimitError,
     WeightVector,
     build_weights,
-    insert_minimal,
     oracle_basis,
     parse_equation,
 )
@@ -59,7 +59,9 @@ class TestCompletionStep:
         w = WeightVector((1, -2))
         pset = [Proposal((1, 0), 1), Proposal((0, 1), -2)]
         stats = CompletionStats()
-        solutions, nxt = completion_step(w, pset, [], stats=stats)
+        solutions, nxt = completion_step(
+            w, pset, DominanceBuckets(2), stats=stats, check_invariants=True
+        )
         assert solutions == []
         assert nxt == [Proposal((1, 1), -1)]
         assert stats.duplicate_proposals == 1
@@ -67,14 +69,17 @@ class TestCompletionStep:
     def test_one_sided_seeds_never_collide(self):
         w = WeightVector((1, -2))
         stats = CompletionStats()
-        solutions, nxt = completion_step(w, initial_proposals(w), [], stats=stats)
+        seeds = initial_proposals(w)
+        solutions, nxt = completion_step(
+            w, seeds, DominanceBuckets(2), stats=stats, check_invariants=True
+        )
         assert solutions == []
         assert nxt == [Proposal((1, 1), -1)]
         assert stats.duplicate_proposals == 0
 
     def test_single_step_solution(self):
         w = WeightVector((1, -1))
-        solutions, nxt = completion_step(w, initial_proposals(w), [])
+        solutions, nxt = completion_step(w, initial_proposals(w), DominanceBuckets(2))
         assert solutions == [(1, 1)]
         assert nxt == []
 
@@ -82,16 +87,18 @@ class TestCompletionStep:
         w = WeightVector((1, -2))
         pset = [Proposal((1, 0), 1), Proposal((0, 1), -2)]
         with pytest.raises(AssertionError):
-            completion_step(w, pset, [], strict=True)
+            completion_step(
+                w, pset, DominanceBuckets(2), check_invariants=True, strict=True
+            )
 
     def test_no_zero_defect_proposals_survive(self):
         w = WeightVector((3, 2, -4, -1))
         pset = initial_proposals(w)
-        found = []
+        found = DominanceBuckets(len(w))
         for _ in range(20):
             solutions, pset = completion_step(w, pset, found)
             for s in solutions:
-                insert_minimal(found, s)
+                found.add(s)
             assert all(p.d != 0 for p in pset)
             if not pset:
                 break
@@ -100,11 +107,11 @@ class TestCompletionStep:
 class TestCompletionDeadline:
     def test_deadline_is_checked_inside_a_level(self):
         w = build_weights(parse_equation("53 36 29 21 = 11 38 82 107"))
-        proposals, found = initial_proposals(w), []
+        proposals, found = initial_proposals(w), DominanceBuckets(len(w))
         while len(proposals) < 2000:
             emissions, proposals = completion_step(w, proposals, found)
             for sol in emissions:
-                insert_minimal(found, sol)
+                found.add(sol)
 
         class SecondCheckExpires:
             checks = 0
@@ -126,7 +133,7 @@ class TestCompletionInvariants:
         for _ in range(60):
             eq = random_equation(rng)
             stats = CompletionStats()
-            completion_solve(eq, stats=stats)
+            completion_solve(eq, stats=stats, check_invariants=True)
             assert stats.duplicate_emissions == 0
             assert stats.duplicate_proposals == 0
             # No emission is ever rejected or evicted: solutions arrive in
@@ -138,13 +145,13 @@ class TestCompletionInvariants:
         w = WeightVector((5, 3, -3, -2))
         pset = initial_proposals(w)
         level = 1
-        found = []
+        found = DominanceBuckets(len(w))
         while pset:
             assert all(sum(p.x) == level for p in pset)
             solutions, pset = completion_step(w, pset, found)
             for s in solutions:
                 assert sum(s) == level + 1
-                insert_minimal(found, s)
+                found.add(s)
             level += 1
             assert level < 60
 
@@ -154,7 +161,7 @@ class TestCompletionInvariants:
             eq = random_equation(rng)
             w = build_weights(eq)
             stats = CompletionStats()
-            completion_solve(eq, stats=stats)
+            completion_solve(eq, stats=stats, check_invariants=True)
             assert stats.min_defect_seen >= -w.max_b
             assert stats.max_defect_seen <= w.max_a
 

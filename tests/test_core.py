@@ -168,6 +168,41 @@ class TestInsertMinimal:
         assert basis == sorted(basis)
 
 
+class TestDominanceBuckets:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lhs=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        rhs=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    )
+    def test_bucket_verdict_is_the_full_scan(self, lhs, rhs):
+        # Completion's search by coordinate sum, without its scan rule so
+        # that every child is reached from every parent: each nonzero-defect
+        # child is tested against the solutions of smaller sum.
+        w = build_weights(Equation(tuple(lhs), tuple(rhs))).w
+        n = len(w)
+        found, sorted_found = core.DominanceBuckets(n), []
+        level = {tuple(int(j == i) for j in range(n)): w[i] for i in range(n) if w[i] > 0}
+        while level:
+            emitted, nxt = set(), {}
+            for x, d in level.items():
+                for i in range(n):
+                    if d * w[i] > 0:
+                        continue
+                    child = x[:i] + (x[i] + 1,) + x[i + 1 :]
+                    if d + w[i] == 0:
+                        emitted.add(child)
+                        continue
+                    hit = found.bounds(child, i)
+                    assert hit == core.is_dominated(sorted_found, child), (w, child)
+                    if not hit:
+                        nxt[child] = d + w[i]
+            for sol in emitted:
+                found.add(sol)
+                insert_minimal(sorted_found, sol)
+            level = nxt
+        assert sorted_found == oracle_basis(Equation(tuple(lhs), tuple(rhs)))
+
+
 def pareto_reference(vecs):
     """One vector at a time in ascending sum: the Python path at any size."""
     kept = []

@@ -30,13 +30,20 @@ EQ6 = Equation((104, 167), (165, 154, 148, 159, 174, 150))
 # path, a huge value every level through the tuple path, and the default
 # switches between them as the frontier narrows and widens.
 PATHS = {"arrays": 0, "mixed": graph.NARROW_FRONTIER, "tuples": 2**62}
+# Most solutions found while narrow levels still test children by buckets:
+# at 0 the buckets are empty whenever they are consulted, so every prune is
+# the bitset index's; a huge value keeps them for the whole search.
+BUCKET_CAPS = {"bitset": 0, "capped": graph.BUCKET_SOLUTIONS, "buckets": 2**62}
 
 
 def level_paths(monkeypatch):
-    """Set the narrow-level bound to each of PATHS in turn, yielding its name."""
+    """Set the narrow-level bound to each of PATHS and, for each, the bucket
+    cap to each of BUCKET_CAPS, yielding their names."""
     for name, narrow in PATHS.items():
         monkeypatch.setattr(graph, "NARROW_FRONTIER", narrow)
-        yield name
+        for cap_name, cap in BUCKET_CAPS.items():
+            monkeypatch.setattr(graph, "BUCKET_SOLUTIONS", cap)
+            yield name, cap_name
 
 
 def random_weights(rng, max_coeff, max_n):
@@ -104,11 +111,12 @@ class TestGraphSolve:
 
     def test_equals_completion_everywhere(self, monkeypatch):
         # Same search over precomputed adjacency: bases must be set-equal.
+        rng = random.Random(31)
+        weights = [random_weights(rng, 13, 6).w for _ in range(60)]
+        expected = [completion_solve(w) for w in weights]
         for path in level_paths(monkeypatch):
-            rng = random.Random(31)
-            for _ in range(60):
-                w = random_weights(rng, 13, 6)
-                assert graph_solve(w.w) == completion_solve(w.w), (path, w.w)
+            for w, basis in zip(weights, expected):
+                assert graph_solve(w) == basis, (path, w)
 
     def test_matches_oracle(self):
         rng = random.Random(32)
@@ -119,8 +127,9 @@ class TestGraphSolve:
             assert graph_solve(eq) == oracle_basis(eq), eq.text()
 
     def test_search_is_clean(self, monkeypatch):
-        # No duplicate walks, no duplicate or dominated emissions, and no
-        # child over a side-sum cap although the search never tests for one.
+        # No duplicate walks, no duplicate or dominated emissions, no child
+        # over a side-sum cap although the search never tests for one, and
+        # no narrow child on which the buckets and the bitset disagree.
         for _ in level_paths(monkeypatch):
             rng = random.Random(33)
             for _ in range(40):
@@ -131,6 +140,7 @@ class TestGraphSolve:
                 assert stats.duplicate_emissions == 0
                 assert stats.insert.rejected == 0
                 assert stats.side_sum_overflows == 0
+                assert stats.bucket_mismatches == 0
 
     def test_frontier_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -172,6 +182,18 @@ class TestSearchCounters:
             )
             assert got == expected, path
             assert len(basis) == stats.insert.inserted
+
+    def test_deep_search_is_pinned(self):
+        # 131,070 levels of one to three walks, all tested by buckets.  The
+        # time limit only keeps a regression from stalling the suite.
+        stats = GraphStats()
+        basis = graph_solve(parse_equation("65536 = 65535 2"), stats=stats, time_limit=30)
+        assert (stats.levels, stats.walks_expanded, stats.pruned_dominated) == (
+            131_070,
+            196_605,
+            65_534,
+        )
+        assert len(basis) == 3
 
 
 sides = st.lists(st.integers(1, 12), min_size=1, max_size=3)
