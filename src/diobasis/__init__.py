@@ -45,7 +45,6 @@ from .lex import (
 )
 from .completion import (
     CompletionStats,
-    Proposal,
     completion_solve,
     completion_step,
 )

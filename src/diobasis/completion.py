@@ -1,12 +1,12 @@
-"""Completion procedure: grow proposals by unit increments toward defect zero.
+"""Completion procedure: grow vectors by unit increments toward defect zero.
 
-A proposal is a candidate vector whose defect stays within [-max_b, max_a].
-Each completion step extends every live proposal by +1 at positions whose
-weight sign opposes the proposal's defect sign, scanning positions from the
-top down and stopping after the first increment at an already-positive
-position.  That scan rule forces each side of a vector to be filled
-bottom-up, and the defect sign dictates which side every step extends, so
-each solution is constructed along exactly one path.
+A walk is a candidate vector with its defect, which stays within
+[-max_b, max_a].  Each completion step extends every live walk by +1 at
+positions whose weight sign opposes the walk's defect sign, scanning
+positions from the top down and stopping after the first increment at an
+already-positive position.  That scan rule forces each side of a vector to
+be filled bottom-up, and the defect sign dictates which side every step
+extends, so each solution is constructed along exactly one path.
 
 For the path to be unique the seed set must live on one side only: seeding
 both sides would build every solution once from each end.  We seed the
@@ -17,12 +17,21 @@ discard a prefix of a minimal solution's path.  A child c = x + e_i can only
 be bounded by a solution s with s_i = c_i, since its parent x survived the
 same test one step earlier (``core.DominanceBuckets``), so the test scans
 just those solutions.
+
+Every emission is minimal, so the basis is kept by appending.  Emissions
+of one level share a coordinate sum, so none bounds another.  An earlier
+solution s <= c = x + e_i has s_i = c_i by the same argument, so c - s is a
+nonzero solution below x, and a basis element below it, of coordinate sum
+below x's, would have pruned x.
+
+``completion_step`` is the one unit-step expansion of the package: the
+graph search runs it on its narrow levels (``graph.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     BasisList,
@@ -37,13 +46,8 @@ from .core import (
     solve_normalized,
 )
 
-
-@dataclass(frozen=True)
-class Proposal:
-    """Candidate vector with its cached defect."""
-
-    x: tuple[int, ...]
-    d: int
+# A candidate vector and its defect.
+Walk = tuple[Solution, int]
 
 
 @dataclass
@@ -51,102 +55,63 @@ class CompletionStats:
     levels: int = 0
     proposals_processed: int = 0
     children: int = 0
-    duplicate_proposals: int = 0
-    duplicate_emissions: int = 0
-    min_defect_seen: int = 0
-    max_defect_seen: int = 0
     insert: InsertStats = field(default_factory=InsertStats)
 
 
-def initial_proposals(w: WeightVector) -> list[Proposal]:
-    """Seed proposals: one unit vector per positive-weight position."""
+def initial_proposals(w: WeightVector) -> list[Walk]:
+    """Seed walks: one unit vector per positive-weight position."""
     n = len(w)
-    out = []
-    for i in w.positive_positions:
-        x = tuple(1 if j == i else 0 for j in range(n))
-        out.append(Proposal(x, w.w[i]))
-    return out
+    return [
+        ((0,) * i + (1,) + (0,) * (n - i - 1), w.w[i]) for i in w.positive_positions
+    ]
 
 
 def completion_step(
     w: WeightVector,
-    proposals: list[Proposal],
-    found: DominanceBuckets,
-    *,
-    stats: CompletionStats | None = None,
-    check_invariants: bool = False,
-    strict: bool = False,
+    walks: list[Walk],
+    bounds: Callable[[Solution, int], bool] | None,
     deadline: Deadline | None = None,
-) -> tuple[list[Solution], list[Proposal]]:
-    """One completion round: extend every proposal, split off solutions.
+) -> tuple[list[Solution], list[Walk], int]:
+    """One completion round: extend every walk, split off solutions.
 
-    ``found`` must hold every solution of coordinate sum below the
-    proposals'; it is only read.  A child survives unless ``found.bounds``
-    finds a solution below it, which is exact here (``DominanceBuckets``).
-    The scan rule makes duplicate children impossible, so the step does not
-    look for them.  With ``check_invariants`` it does: children equal to an
-    already-generated vector are counted and dropped, and ``strict`` turns
-    such a hit into an error; every bucket verdict is also checked against
-    ``is_dominated``.  ``deadline`` is checked before the first proposal
-    and then every 256 proposals.
+    Returns the children of defect zero, the other children that survive,
+    and the number of children made; the rest were pruned.  A child
+    x + e_i survives unless ``bounds(child, i)`` is true: a
+    ``DominanceBuckets.bounds`` that holds every solution of coordinate sum
+    below the walks', a wrapper of one, or None to keep every child.  The
+    scan rule makes duplicate children impossible, so the step does not
+    look for them.  ``deadline`` is checked before the first walk and then
+    every 256 walks.
     """
-    weights = w.w
-    n = len(weights)
-    bounds = found.bounds
-    if check_invariants:
-        ordered = sorted(found.solutions)
-
-        def bounds(child: Solution, i: int) -> bool:
-            hit = found.bounds(child, i)
-            if hit != is_dominated(ordered, child):
-                raise AssertionError(
-                    f"bucket test disagrees with is_dominated on {child}"
-                )
-            return hit
-
-    emissions: list[Solution] = []
-    children: list[Proposal] = []
-
-    for k, p in enumerate(proposals):
-        if deadline is not None and not k & 255:
+    if deadline is not None:
+        # One check per 256 walks: expand the level in slices of that many.
+        emitted, kept, children = [], [], 0
+        for k in range(0, len(walks), 256):
             deadline.check()
-        if stats:
-            stats.proposals_processed += 1
-        d = p.d
-        x = p.x
-        for i in range(n - 1, -1, -1):
-            wi = weights[i]
-            if (d < 0 and wi < 0) or (d > 0 and wi > 0):
-                continue
+            part_emitted, part_kept, part_children = completion_step(
+                w, walks[k : k + 256], bounds
+            )
+            emitted += part_emitted
+            kept += part_kept
+            children += part_children
+        return emitted, kept, children
+    weights = w.w
+    pos_desc, neg_desc = w.scan_orders
+    emitted: list[Solution] = []
+    kept: list[Walk] = []
+    children = 0
+    for x, d in walks:
+        for i in pos_desc if d < 0 else neg_desc:
+            children += 1
             child = x[:i] + (x[i] + 1,) + x[i + 1 :]
-            dc = d + wi
-            if stats:
-                stats.children += 1
-                stats.min_defect_seen = min(stats.min_defect_seen, dc)
-                stats.max_defect_seen = max(stats.max_defect_seen, dc)
-            if dc == 0:
-                emissions.append(child)
-            elif not bounds(child, i):
-                children.append(Proposal(child, dc))
-            if x[i] > 0:
+            dc = d + weights[i]
+            if not dc:
+                emitted.append(child)
+            elif bounds is None or not bounds(child, i):
+                kept.append((child, dc))
+            if x[i]:
                 break
-
-    if check_invariants:
-        emissions, dropped = _first_copies(emissions, "solution emission", strict)
-        if stats:
-            stats.duplicate_emissions += dropped
-        children, dropped = _first_copies(children, "proposal", strict)
-        if stats:
-            stats.duplicate_proposals += dropped
-    return emissions, children
-
-
-def _first_copies(items: list, what: str, strict: bool) -> tuple[list, int]:
-    """The first copy of each item, in order, and the number of copies dropped."""
-    kept = list(dict.fromkeys(items))
-    if strict and len(kept) < len(items):
-        raise AssertionError(f"duplicate {what}; scan rule violated")
-    return kept, len(items) - len(kept)
+    return emitted, kept, children
 
 
 def completion_solve(
@@ -159,10 +124,12 @@ def completion_solve(
     """Basis of an equation or a signed weight sequence by the completion
     procedure (normalized by ``core.solve_normalized``).
 
-    With ``check_invariants`` every step also counts duplicate children,
-    raises on one, and checks each dominance verdict against
-    ``is_dominated``; the scan rule and the bucket argument prove none of
-    that can fire, so by default the search does not pay for it.
+    With ``check_invariants`` the search also keeps a reference basis by
+    ``insert_minimal``, counting rejected and evicted emissions into
+    ``stats.insert``, checks each dominance verdict against ``is_dominated``
+    on it, and raises on a duplicate emission or walk; the scan rule, the
+    equal-sum argument and the bucket argument prove none of that can fire,
+    so by default the search does not pay for it.
     """
     return solve_normalized(
         problem, _solve, stats, Deadline.maybe(time_limit), check_invariants
@@ -175,23 +142,36 @@ def _solve(
     deadline: Deadline | None,
     check_invariants: bool,
 ) -> BasisList:
-    insert_stats = stats.insert if stats else None
-    basis: BasisList = []
     found = DominanceBuckets(len(w))
-    pset = initial_proposals(w)
-    while pset:
+    bounds = found.bounds
+    if check_invariants:
+        reference: BasisList = []
+        insert_stats = stats.insert if stats else None
+
+        def bounds(child: Solution, i: int) -> bool:
+            hit = found.bounds(child, i)
+            if hit != is_dominated(reference, child):
+                raise AssertionError(
+                    f"bucket test disagrees with is_dominated on {child}"
+                )
+            return hit
+
+    walks = initial_proposals(w)
+    while walks:
+        width = len(walks)
+        emitted, walks, children = completion_step(w, walks, bounds, deadline)
         if stats:
             stats.levels += 1
-        emissions, pset = completion_step(
-            w,
-            pset,
-            found,
-            stats=stats,
-            check_invariants=check_invariants,
-            strict=check_invariants,
-            deadline=deadline,
-        )
-        for sol in emissions:
-            insert_minimal(basis, sol, insert_stats)
+            stats.proposals_processed += width
+            stats.children += children
+        if check_invariants:
+            for items, what in ((emitted, "emission"), (walks, "walk")):
+                if len(set(items)) < len(items):
+                    raise AssertionError(f"duplicate {what}; scan rule violated")
+            for sol in emitted:
+                insert_minimal(reference, sol, insert_stats)
+        elif stats:
+            stats.insert.inserted += len(emitted)
+        for sol in emitted:
             found.add(sol)
-    return basis
+    return sorted(found.solutions)

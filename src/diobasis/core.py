@@ -163,6 +163,12 @@ class WeightVector:
     def negative_positions(self) -> tuple[int, ...]:
         return tuple(i for i, wi in enumerate(self.w) if wi < 0)
 
+    @cached_property
+    def scan_orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Positive and negative positions, each from the top down: the
+        order in which a unit-step search scans them."""
+        return self.positive_positions[::-1], self.negative_positions[::-1]
+
     @property
     def has_both_signs(self) -> bool:
         return bool(self.positive_positions) and bool(self.negative_positions)

@@ -18,11 +18,13 @@ steps of a surviving walk start from distinct nodes among the max_b nodes
 the max_a nodes {1, ..., max_a}.
 
 A level is expanded one of two ways, chosen by its width.  A level of at
-most ``NARROW_FRONTIER`` walks is expanded walk by walk, each walk a tuple
-of label counts carried with its defect as an int, so a deep search of thin
+most ``NARROW_FRONTIER`` walks is expanded walk by walk by the completion
+procedure's own step, ``completion.completion_step``, each walk a tuple of
+label counts carried with its defect as an int, so a deep search of thin
 levels costs per walk, not per level.  A wider level is expanded in
 vectorized passes over an int32 array of walks, whose successor nodes come
-from the materialized adjacency table.  Both paths apply the same scan rule.
+from the materialized adjacency table.  Both paths apply the same scan rule
+to the same seeds, ``completion.initial_proposals``.
 A wide level hands its children to one method, which indexes the emissions
 and prunes the proposals with one batched call to the ``DominanceIndex``.
 
@@ -64,6 +66,7 @@ from .core import (
     WeightVector,
     solve_normalized,
 )
+from .completion import Walk, completion_step, initial_proposals
 
 DEFAULT_FRONTIER_CAP = 2**26
 # Levels of at most this many walks are expanded walk by walk as tuples;
@@ -143,19 +146,16 @@ class GraphStats:
     insert: InsertStats = field(default_factory=InsertStats)
 
 
-# A walk of a narrow level: (label counts, defect).
-_Walk = tuple[tuple[int, ...], int]
-
-
 class _Search:
     """State shared by the levels of one graph search: the weights, the
     adjacency table, the solutions found so far and their dominance index.
 
-    A level is expanded by ``narrow_level`` on a list of walk tuples or by
-    ``wide_level`` on an int32 array of label counts with the walks' node
-    indices; both apply the same scan rule.  ``settle`` decides which of
-    their children survive, except while a narrow level can test each child
-    against the buckets of the solutions found so far.
+    A level is expanded by ``narrow_level`` on a list of walk tuples, with
+    ``completion_step``, or by ``wide_level`` on an int32 array of label
+    counts with the walks' node indices; both apply the same scan rule.
+    ``settle`` decides which of their children survive, except while a
+    narrow level can test each child against the buckets of the solutions
+    found so far.
     """
 
     def __init__(
@@ -166,12 +166,7 @@ class _Search:
         self.zero_idx = graph.zero_index
         self.stats = stats
         self.check = check
-        self.pos_desc = sorted(w.positive_positions, reverse=True)
-        self.neg_desc = sorted(w.negative_positions, reverse=True)
-        self.label_arrays = (
-            np.array(self.pos_desc, dtype=np.int64),
-            np.array(self.neg_desc, dtype=np.int64),
-        )
+        self.label_arrays = [np.array(order, dtype=np.int64) for order in w.scan_orders]
         self.solutions: list[Solution] = []
         self.no_rows = np.zeros((0, len(w)), dtype=np.int32)
         # A child's side sums stay within the per-side caps (module
@@ -185,10 +180,10 @@ class _Search:
             return self.no_rows
         return np.array(counts, dtype=np.int32)
 
-    def to_walks(self, rows: np.ndarray, nodes: np.ndarray) -> list[_Walk]:
+    def to_walks(self, rows: np.ndarray, nodes: np.ndarray) -> list[Walk]:
         return list(zip(map(tuple, rows.tolist()), (nodes - self.zero_idx).tolist()))
 
-    def to_rows(self, walks: list[_Walk]) -> tuple[np.ndarray, np.ndarray]:
+    def to_rows(self, walks: list[Walk]) -> tuple[np.ndarray, np.ndarray]:
         nodes = np.array([walk[1] for walk in walks]) + self.zero_idx
         return self.rows([walk[0] for walk in walks]), nodes
 
@@ -248,39 +243,24 @@ class _Search:
         self.stats.bucket_mismatches += self.buckets.bounds(child, i) != bitset
         return False
 
-    def narrow_level(self, walks: list[_Walk]) -> list[_Walk]:
+    def narrow_level(self, walks: list[Walk]) -> list[Walk]:
         """Expand a level walk by walk; returns the next level's walks.
 
         While the search keeps buckets, each child is tested as it is made;
         otherwise ``settle`` tests them all at the end of the level.
         """
-        weights = self.w.w
         if self.buckets is None:
             bounds = None
         else:
             bounds = self.cross_check if self.check else self.buckets.bounds
-        emitted: list[Solution] = []
-        proposals: list[_Walk] = []
-        children = pruned = 0
-        for x, d in walks:
-            for i in self.pos_desc if d < 0 else self.neg_desc:
-                children += 1
-                child = x[:i] + (x[i] + 1,) + x[i + 1 :]
-                dc = d + weights[i]
-                if not dc:
-                    emitted.append(child)
-                elif bounds is not None and bounds(child, i):
-                    pruned += 1
-                else:
-                    proposals.append((child, dc))
-                if x[i]:
-                    break
+        emitted, proposals, children = completion_step(self.w, walks, bounds)
         self.stats.children += children
-        self.stats.pruned_dominated += pruned
+        self.stats.pruned_dominated += children - len(emitted) - len(proposals)
         if bounds is None or self.check:
             keep = self.settle(self.rows(emitted), self.rows([p[0] for p in proposals]))
             return list(compress(proposals, keep.tolist()))
-        self.emit(self.rows(emitted))
+        if emitted:
+            self.emit(self.rows(emitted))
         return proposals
 
     def wide_level(
@@ -359,12 +339,8 @@ def _solve(
     graph = build_defect_graph(w)
     search = _Search(w, graph, stats, check_invariants)
 
-    # Seed: one walk per positive label out of node zero (one-sided seeding,
-    # same uniqueness argument as the completion procedure).
-    n = len(w)
-    walks: list[_Walk] = [
-        ((0,) * i + (1,) + (0,) * (n - i - 1), w.w[i]) for i in w.positive_positions
-    ]
+    # One-sided seeding, as in the completion procedure.
+    walks = initial_proposals(w)
     wide = None  # (rows, nodes) while the frontier is wide; walks is then stale
     while True:
         width = len(walks) if wide is None else len(wide[0])

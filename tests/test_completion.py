@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diobasis import completion
 from diobasis.completion import (
     CompletionStats,
-    Proposal,
     completion_solve,
     completion_step,
     initial_proposals,
@@ -17,6 +19,8 @@ from diobasis.core import (
     TimeLimitError,
     WeightVector,
     build_weights,
+    defect,
+    is_dominated,
     oracle_basis,
     parse_equation,
 )
@@ -51,104 +55,132 @@ class TestCompletionStep:
     def test_seeds_are_positive_side_units(self):
         w = WeightVector((2, 1, -1))
         seeds = initial_proposals(w)
-        assert seeds == [Proposal((1, 0, 0), 2), Proposal((0, 1, 0), 1)]
+        assert seeds == [((1, 0, 0), 2), ((0, 1, 0), 1)]
 
-    def test_first_step_of_one_equals_two(self):
+    def test_two_sided_seeds_collide(self):
         # Fed both unit vectors, each extends toward the opposite sign and
-        # meets in the same vector; the step keeps a single copy of it.
+        # meets in the same vector; the step does not look for duplicates.
         w = WeightVector((1, -2))
-        pset = [Proposal((1, 0), 1), Proposal((0, 1), -2)]
-        stats = CompletionStats()
-        solutions, nxt = completion_step(
-            w, pset, DominanceBuckets(2), stats=stats, check_invariants=True
-        )
-        assert solutions == []
-        assert nxt == [Proposal((1, 1), -1)]
-        assert stats.duplicate_proposals == 1
+        walks = [((1, 0), 1), ((0, 1), -2)]
+        assert completion_step(w, walks, None) == ([], [((1, 1), -1)] * 2, 2)
 
     def test_one_sided_seeds_never_collide(self):
         w = WeightVector((1, -2))
-        stats = CompletionStats()
-        seeds = initial_proposals(w)
-        solutions, nxt = completion_step(
-            w, seeds, DominanceBuckets(2), stats=stats, check_invariants=True
-        )
-        assert solutions == []
-        assert nxt == [Proposal((1, 1), -1)]
-        assert stats.duplicate_proposals == 0
+        assert completion_step(w, initial_proposals(w), None) == ([], [((1, 1), -1)], 1)
 
     def test_single_step_solution(self):
         w = WeightVector((1, -1))
-        solutions, nxt = completion_step(w, initial_proposals(w), DominanceBuckets(2))
-        assert solutions == [(1, 1)]
-        assert nxt == []
+        assert completion_step(w, initial_proposals(w), None) == ([(1, 1)], [], 1)
 
-    def test_strict_mode_raises_on_collision(self):
-        w = WeightVector((1, -2))
-        pset = [Proposal((1, 0), 1), Proposal((0, 1), -2)]
-        with pytest.raises(AssertionError):
-            completion_step(
-                w, pset, DominanceBuckets(2), check_invariants=True, strict=True
-            )
+    def test_check_invariants_raises_on_two_sided_seeds(self, monkeypatch):
+        monkeypatch.setattr(
+            completion,
+            "initial_proposals",
+            lambda w: [((1, 0), 1), ((0, 1), -2)],
+        )
+        with pytest.raises(AssertionError, match="duplicate walk"):
+            completion_solve((1, -2), check_invariants=True)
 
     def test_no_zero_defect_proposals_survive(self):
         w = WeightVector((3, 2, -4, -1))
-        pset = initial_proposals(w)
+        walks = initial_proposals(w)
         found = DominanceBuckets(len(w))
         for _ in range(20):
-            solutions, pset = completion_step(w, pset, found)
+            solutions, walks, _ = completion_step(w, walks, found.bounds)
             for s in solutions:
                 found.add(s)
-            assert all(p.d != 0 for p in pset)
-            if not pset:
+            assert all(d != 0 for _, d in walks)
+            if not walks:
                 break
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lhs=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+        rhs=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+    )
+    def test_unpruned_levels_are_unique_and_confined(self, lhs, rhs):
+        # The scan rule alone, with no dominance prune: every vector has one
+        # path, so no walk or emission repeats within a level.
+        w = WeightVector(tuple(lhs) + tuple(-b for b in rhs))
+        walks = initial_proposals(w)
+        for level in range(1, 7):
+            emitted, walks, children = completion_step(w, walks, None)
+            assert children == len(emitted) + len(walks)
+            assert len(set(emitted)) == len(emitted)
+            assert len(set(walks)) == len(walks)
+            for sol in emitted:
+                assert defect(w, sol) == 0
+                assert sum(sol) == level + 1
+            for x, d in walks:
+                assert d == defect(w, x) != 0
+                assert 1 - w.max_b <= d <= w.max_a - 1
+                assert sum(x) == level + 1
+
+
+class CountingDeadline:
+    """Counts its checks and expires on check number ``expire_at``."""
+
+    def __init__(self, expire_at=None):
+        self.checks = 0
+        self.expire_at = expire_at
+
+    def check(self):
+        self.checks += 1
+        if self.checks == self.expire_at:
+            raise TimeLimitError("expired")
 
 
 class TestCompletionDeadline:
-    def test_deadline_is_checked_inside_a_level(self):
+    @pytest.fixture(scope="class")
+    def wide_level(self):
         w = build_weights(parse_equation("53 36 29 21 = 11 38 82 107"))
-        proposals, found = initial_proposals(w), DominanceBuckets(len(w))
-        while len(proposals) < 2000:
-            emissions, proposals = completion_step(w, proposals, found)
+        walks, found = initial_proposals(w), DominanceBuckets(len(w))
+        while len(walks) < 2000:
+            emissions, walks, _ = completion_step(w, walks, found.bounds)
             for sol in emissions:
                 found.add(sol)
+        return w, walks, found
 
-        class SecondCheckExpires:
-            checks = 0
+    @pytest.mark.parametrize(
+        "width, checks", [(1, 1), (256, 1), (257, 2), (512, 2), (513, 3)]
+    )
+    def test_deadline_is_checked_every_256_walks(self, wide_level, width, checks):
+        w, walks, found = wide_level
+        deadline = CountingDeadline()
+        completion_step(w, walks[:width], found.bounds, deadline)
+        assert deadline.checks == checks
 
-            def check(self):
-                self.checks += 1
-                if self.checks == 2:
-                    raise TimeLimitError("expired")
-
-        stats = CompletionStats()
+    def test_deadline_is_checked_inside_a_level(self, wide_level):
+        w, walks, found = wide_level
+        deadline = CountingDeadline(expire_at=2)
         with pytest.raises(TimeLimitError):
-            completion_step(w, proposals, found, stats=stats, deadline=SecondCheckExpires())
-        assert 0 < stats.proposals_processed <= 256 < len(proposals)
+            completion_step(w, walks, found.bounds, deadline)
+        assert deadline.checks == 2 and 256 < len(walks)
 
 
 class TestCompletionInvariants:
     def test_no_duplicate_emissions_on_corpus(self):
+        # check_invariants raises on a duplicate emission or walk and on a
+        # bucket verdict that is_dominated contradicts.
         rng = random.Random(5)
         for _ in range(60):
             eq = random_equation(rng)
             stats = CompletionStats()
-            completion_solve(eq, stats=stats, check_invariants=True)
-            assert stats.duplicate_emissions == 0
-            assert stats.duplicate_proposals == 0
+            basis = completion_solve(eq, stats=stats, check_invariants=True)
             # No emission is ever rejected or evicted: solutions arrive in
             # nondecreasing coordinate-sum order and are already minimal.
             assert stats.insert.rejected == 0
             assert stats.insert.evicted == 0
+            assert stats.insert.inserted == len(basis)
 
     def test_level_sum_invariant(self):
         w = WeightVector((5, 3, -3, -2))
-        pset = initial_proposals(w)
+        walks = initial_proposals(w)
         level = 1
         found = DominanceBuckets(len(w))
-        while pset:
-            assert all(sum(p.x) == level for p in pset)
-            solutions, pset = completion_step(w, pset, found)
+        while walks:
+            assert all(sum(x) == level for x, _ in walks)
+            solutions, walks, _ = completion_step(w, walks, found.bounds)
             for s in solutions:
                 assert sum(s) == level + 1
                 found.add(s)
@@ -156,14 +188,20 @@ class TestCompletionInvariants:
             assert level < 60
 
     def test_defect_confinement(self):
+        # Every child of the whole search, pruned ones included: the step
+        # runs unpruned and the level is pruned after it by a full scan.
         rng = random.Random(9)
         for _ in range(40):
             eq = random_equation(rng)
             w = build_weights(eq)
-            stats = CompletionStats()
-            completion_solve(eq, stats=stats, check_invariants=True)
-            assert stats.min_defect_seen >= -w.max_b
-            assert stats.max_defect_seen <= w.max_a
+            walks, found = initial_proposals(w), []
+            while walks:
+                emitted, kept, children = completion_step(w, walks, None)
+                assert children == len(emitted) + len(kept)
+                assert all(-w.max_b <= d <= w.max_a for _, d in kept)
+                found = sorted(found + emitted)
+                walks = [(x, d) for x, d in kept if not is_dominated(found, x)]
+            assert found == oracle_basis(eq)
 
     def test_single_signed_weights_have_empty_basis(self):
         assert completion_solve((2, 3)) == []

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from diobasis import completion_solve, graph_solve
 from diobasis.core import Equation, oracle_basis
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -72,3 +73,24 @@ def test_every_call_solves_a_small_equation(call):
     factory, solve = load("workloads").CALLS[call]
     eq = Equation((3, 2), (4, 1, 5))
     assert solve(eq, factory() if factory else None, 10.0) == oracle_basis(eq)
+
+
+@pytest.mark.parametrize(
+    "workload,solve",
+    [
+        ("verify_small", graph_solve),
+        ("graph_deep", graph_solve),
+        ("verify_small", completion_solve),
+    ],
+    ids=["graph-verify_small", "graph-graph_deep", "completion-verify_small"],
+)
+def test_basis_matches_the_pinned_reference(workload, solve):
+    # The benchmark's pinned size and SHA-256 of each corpus basis, checked
+    # on the corpus as drawn (no coefficient permutation).
+    workloads = load("workloads")
+    references = workloads.load_references()
+    for eq_id, eq in workloads.corpus(workloads.WORKLOADS[workload]):
+        task = workloads.Task(eq_id, eq, eq, tuple(range(eq.n)))
+        arr = workloads.canonical(solve(eq), task)
+        ref = references[eq.text()]
+        assert (len(arr), workloads.digest(arr)) == (ref["size"], ref["sha256"]), eq_id
