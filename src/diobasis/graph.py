@@ -17,39 +17,40 @@ steps of a surviving walk start from distinct nodes among the max_b nodes
 {0, -1, ..., 1 - max_b} and its negative steps from distinct nodes among
 the max_a nodes {1, ..., max_a}.
 
-A level is expanded one of two ways, chosen by its width.  A level of at
-most ``NARROW_FRONTIER`` walks is expanded walk by walk by the completion
-procedure's own step, ``completion.completion_step``, each walk a tuple of
-label counts carried with its defect as an int, so a deep search of thin
-levels costs per walk, not per level.  A wider level is expanded in
+A level is expanded one of two ways, and each way has one prune.  A level
+of at most ``NARROW_FRONTIER`` walks, while the search has found at most
+``BUCKET_SOLUTIONS`` (256) solutions, is expanded walk by walk by the
+completion procedure's own step, ``completion.completion_step``, each walk a
+tuple of label counts carried with its defect as an int, so a deep search of
+thin levels costs per walk, not per level.  Every other level is expanded in
 vectorized passes over an int32 array of walks, whose successor nodes come
 from the materialized adjacency table.  Both paths apply the same scan rule
 to the same seeds, ``completion.initial_proposals``.
-A wide level hands its children to one method, which indexes the emissions
-and prunes the proposals with one batched call to the ``DominanceIndex``.
 
-A narrow level tests each child as it is made, while the search has found at
-most ``BUCKET_SOLUTIONS`` (256) solutions.  The child c = x + e_i extends a
-walk x that survived the prune one level earlier, so a found solution below
-c has a smaller coordinate sum and agrees with c at i: only the solutions
-whose i-th count equals c_i need scanning (``core.DominanceBuckets``).  On a
-thin level that replaces a batched call of fixed cost (about 25 us) by a
-few tuple comparisons.  Past the cap, buckets hold too many solutions to
-scan per child, and every emission of a wide level would pay n bucket
-appends, so narrow levels go back to the batched call.  Emissions go to the
-``DominanceIndex`` as each level ends, on either path.
+A narrow level tests each child as it is made.  The child c = x + e_i
+extends a walk x that survived the prune one level earlier, so a found
+solution below c has a smaller coordinate sum and agrees with c at i: only
+the solutions whose i-th count equals c_i need scanning
+(``core.DominanceBuckets``).  On a thin level that replaces a batched call
+of fixed cost (about 25 us) by a few tuple comparisons.  A wide level tests
+its children with one batched call to the ``DominanceIndex``.  Past the cap,
+buckets hold too many solutions to scan per child, and every emission of a
+wide level would pay n bucket appends, so the search drops them and expands
+every later level in vectorized passes, however narrow.  Emissions go to
+the ``DominanceIndex`` as each level ends, on either path.
 
 The scan rule makes duplicate walks impossible, and emissions within a
 level share a coordinate sum, so they never dominate each other or an
 earlier solution.  The search therefore does not test for either, nor for
-side sums; ``check_invariants=True`` runs those audits and counts what
-they find, and also runs the bitset test on every child the buckets test.
+side sums.  ``check_invariants=True`` runs the same prunes and raises
+``AssertionError`` on a duplicate walk or emission within a level, an
+emission bounded by an earlier solution, a child over a side-sum cap, or a
+bucket verdict that the bitset index contradicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -138,24 +139,19 @@ class GraphStats:
     walks_expanded: int = 0
     children: int = 0
     pruned_dominated: int = 0
-    duplicate_walks: int = 0
-    duplicate_emissions: int = 0
-    side_sum_overflows: int = 0
-    bucket_mismatches: int = 0
     max_frontier: int = 0
     insert: InsertStats = field(default_factory=InsertStats)
 
 
 class _Search:
     """State shared by the levels of one graph search: the weights, the
-    adjacency table, the solutions found so far and their dominance index.
+    adjacency table, the solutions found so far and their dominance indexes.
 
     A level is expanded by ``narrow_level`` on a list of walk tuples, with
-    ``completion_step``, or by ``wide_level`` on an int32 array of label
-    counts with the walks' node indices; both apply the same scan rule.
-    ``settle`` decides which of their children survive, except while a
-    narrow level can test each child against the buckets of the solutions
-    found so far.
+    ``completion_step`` and the bucket test, or by ``wide_level`` on an int32
+    array of label counts with the walks' node indices and the bitset test;
+    both apply the same scan rule.  With ``check`` both also raise
+    ``AssertionError`` on a broken invariant (module docstring).
     """
 
     def __init__(
@@ -167,44 +163,34 @@ class _Search:
         self.stats = stats
         self.check = check
         self.label_arrays = [np.array(order, dtype=np.int64) for order in w.scan_orders]
+        self.positive = np.array(w.w) > 0
         self.solutions: list[Solution] = []
-        self.no_rows = np.zeros((0, len(w)), dtype=np.int32)
         # A child's side sums stay within the per-side caps (module
         # docstring), so every coordinate is at most max(max_a, max_b).
         self.index = DominanceIndex(len(w), max(w.max_a, w.max_b) + 1)
-        # Dropped once the search has found over BUCKET_SOLUTIONS solutions.
+        # Dropped once the search has found over BUCKET_SOLUTIONS solutions;
+        # every later level is then wide.
         self.buckets: DominanceBuckets | None = DominanceBuckets(len(w))
-
-    def rows(self, counts: list[tuple[int, ...]]) -> np.ndarray:
-        if not counts:
-            return self.no_rows
-        return np.array(counts, dtype=np.int32)
 
     def to_walks(self, rows: np.ndarray, nodes: np.ndarray) -> list[Walk]:
         return list(zip(map(tuple, rows.tolist()), (nodes - self.zero_idx).tolist()))
 
     def to_rows(self, walks: list[Walk]) -> tuple[np.ndarray, np.ndarray]:
         nodes = np.array([walk[1] for walk in walks]) + self.zero_idx
-        return self.rows([walk[0] for walk in walks]), nodes
+        return np.array([walk[0] for walk in walks], dtype=np.int32), nodes
 
-    def emit(self, emitted: np.ndarray) -> None:
-        """Record a level's emissions and index them."""
-        stats = self.stats
+    def emit(self, new: list[Solution], rows: np.ndarray) -> None:
+        """Record a level's emissions, given as tuples and as the same int32
+        rows, and index them."""
         if self.check:
-            self.count_overflows(emitted)
-            # Emissions within a level share a coordinate sum, so they
-            # cannot dominate each other or anything found earlier.
-            uniq = np.unique(emitted, axis=0)
-            stats.duplicate_emissions += len(emitted) - len(uniq)
-            rejected = self.index.any_dominator(uniq)
-            stats.insert.rejected += int(rejected.sum())
-            emitted = uniq[~rejected]
-        if not len(emitted):
-            return
-        stats.insert.inserted += len(emitted)
-        new = list(map(tuple, emitted.tolist()))
+            self.audit_caps(rows)
+            if len(set(new)) < len(new):
+                raise AssertionError("duplicate emission; scan rule violated")
+            if self.index.any_dominator(rows).any():
+                raise AssertionError("emission bounded by an earlier solution")
+        self.stats.insert.inserted += len(new)
         self.solutions.extend(new)
-        self.index.add(emitted)
+        self.index.add(rows)
         if self.buckets is not None:
             if len(self.solutions) > BUCKET_SOLUTIONS:
                 self.buckets = None
@@ -212,55 +198,39 @@ class _Search:
                 for sol in new:
                     self.buckets.add(sol)
 
-    def settle(self, emitted: np.ndarray, proposals: np.ndarray) -> np.ndarray:
-        """Index a level's emissions; return a mask of the proposals that no
-        solution found so far bounds."""
-        stats = self.stats
-        self.emit(emitted)
-        keep = ~self.index.any_dominator(proposals)
-        stats.pruned_dominated += len(keep) - int(np.count_nonzero(keep))
-        if self.check:
-            self.count_overflows(proposals)
-            if keep.any():
-                kept = np.flatnonzero(keep)
-                _, first = np.unique(proposals[kept], axis=0, return_index=True)
-                stats.duplicate_walks += len(kept) - len(first)
-                keep[:] = False
-                keep[kept[first]] = True
-        return keep
-
-    def count_overflows(self, rows: np.ndarray) -> None:
-        w, positive = self.w, np.array(self.w.w) > 0
+    def audit_caps(self, rows: np.ndarray) -> None:
+        """Raise if a row's side sum exceeds the opposing side's largest
+        coefficient."""
+        w, positive = self.w, self.positive
         over = (rows[:, positive].sum(axis=1) > w.max_b) | (
             rows[:, ~positive].sum(axis=1) > w.max_a
         )
-        self.stats.side_sum_overflows += int(over.sum())
+        if over.any():
+            raise AssertionError("walk over a side-sum cap")
 
-    def cross_check(self, child: Solution, i: int) -> bool:
-        """Count a bucket verdict on ``child`` that the bitset index
-        contradicts; prune nothing, so that ``settle`` decides."""
-        bitset = bool(self.index.any_dominator(np.array([child], dtype=np.int32))[0])
-        self.stats.bucket_mismatches += self.buckets.bounds(child, i) != bitset
-        return False
+    def audited_bounds(self, child: Solution, i: int) -> bool:
+        """The bucket test on ``child``, checked against the side-sum caps
+        and the bitset index."""
+        row = np.array([child], dtype=np.int32)
+        self.audit_caps(row)
+        hit = self.buckets.bounds(child, i)
+        if hit != self.index.any_dominator(row)[0]:
+            raise AssertionError(
+                f"bucket test disagrees with the bitset index on {child}"
+            )
+        return hit
 
     def narrow_level(self, walks: list[Walk]) -> list[Walk]:
-        """Expand a level walk by walk; returns the next level's walks.
-
-        While the search keeps buckets, each child is tested as it is made;
-        otherwise ``settle`` tests them all at the end of the level.
-        """
-        if self.buckets is None:
-            bounds = None
-        else:
-            bounds = self.cross_check if self.check else self.buckets.bounds
+        """Expand a level walk by walk, testing each child against the
+        buckets as it is made; returns the next level's walks."""
+        bounds = self.audited_bounds if self.check else self.buckets.bounds
         emitted, proposals, children = completion_step(self.w, walks, bounds)
         self.stats.children += children
         self.stats.pruned_dominated += children - len(emitted) - len(proposals)
-        if bounds is None or self.check:
-            keep = self.settle(self.rows(emitted), self.rows([p[0] for p in proposals]))
-            return list(compress(proposals, keep.tolist()))
+        if self.check and len(set(proposals)) < len(proposals):
+            raise AssertionError("duplicate walk; scan rule violated")
         if emitted:
-            self.emit(self.rows(emitted))
+            self.emit(emitted, np.array(emitted, dtype=np.int32))
         return proposals
 
     def wide_level(
@@ -296,10 +266,19 @@ class _Search:
         child_nodes = np.concatenate(chunk_nodes)
         self.stats.children += len(children)
         is_solution = child_nodes == zero_idx
+        emitted = children[is_solution]
+        if len(emitted):
+            self.emit(list(map(tuple, emitted.tolist())), emitted)
         live = ~is_solution
         proposals = children[live]
-        keep = self.settle(children[is_solution], proposals)
-        return proposals[keep], child_nodes[live][keep]
+        if self.check:
+            self.audit_caps(proposals)
+        keep = ~self.index.any_dominator(proposals)
+        proposals = proposals[keep]
+        self.stats.pruned_dominated += len(keep) - len(proposals)
+        if self.check and len(np.unique(proposals, axis=0)) < len(proposals):
+            raise AssertionError("duplicate walk; scan rule violated")
+        return proposals, child_nodes[live][keep]
 
 
 def graph_solve(
@@ -313,11 +292,12 @@ def graph_solve(
     """Basis of an equation or a signed weight sequence by the graph
     algorithm (normalized by ``core.solve_normalized``).
 
-    With ``check_invariants`` every level also counts duplicate walks,
-    duplicate emissions and dominated emissions into ``stats`` and drops
-    them, and counts children over a side-sum cap; the scan rule, the
-    equal-sum argument and the revisit argument prove all four counts stay
-    zero, so by default the search does not pay for them.
+    With ``check_invariants`` the search runs the same prunes and raises
+    ``AssertionError`` on a duplicate walk or emission, an emission bounded
+    by an earlier solution, a child over a side-sum cap, or a bucket verdict
+    that the bitset index contradicts; the scan rule, the equal-sum argument,
+    the revisit argument and the bucket argument prove none of that can
+    fire, so by default the search does not pay for it.
     """
     return solve_normalized(
         problem,
@@ -355,7 +335,7 @@ def _solve(
                 f"graph frontier holds {width} walks, over the cap of {frontier_cap}"
             )
         stats.walks_expanded += width
-        if width <= NARROW_FRONTIER:
+        if width <= NARROW_FRONTIER and search.buckets is not None:
             if wide is not None:
                 walks, wide = search.to_walks(*wide), None
             walks = search.narrow_level(walks)

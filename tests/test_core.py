@@ -1,8 +1,10 @@
 """Core types, dominance machinery, shared arithmetic, and the oracle."""
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -166,6 +168,41 @@ class TestInsertMinimal:
                 if i != j:
                     assert not dominated_or_equal(s, t)
         assert basis == sorted(basis)
+
+
+class TestDominanceIndex:
+    @pytest.mark.parametrize(
+        "chunk_bytes", [core._TEST_CHUNK_BYTES, 16], ids=["whole", "chunked"]
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 4),
+        sizes=st.lists(st.integers(3, 40), min_size=1, max_size=4),
+    )
+    def test_any_dominator_is_the_brute_force_test(self, chunk_bytes, data, n, sizes):
+        # Batches of 1 and 2 rows take the per-vector loop, larger ones the
+        # vectorized pass; over 128 rows cross two 64-bit word boundaries and
+        # grow the capacity twice.  At 16 bytes a test splits its candidates
+        # into chunks of one or two rows.
+        row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+        rows = data.draw(st.lists(row, min_size=130, max_size=150))
+        rows = np.array(rows, dtype=np.int32)
+        cands = data.draw(st.lists(row, max_size=20))
+        cands = np.array(cands, dtype=np.int32).reshape(-1, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_TEST_CHUNK_BYTES", chunk_bytes)
+            index = core.DominanceIndex(n, 4)
+            assert not index.any_dominator(cands).any()
+            lo = 0
+            for size in itertools.cycle([1, 2, *sizes]):
+                if lo >= len(rows):
+                    break
+                index.add(rows[lo : lo + size])
+                lo += size
+                expected = (rows[None, :lo] <= cands[:, None]).all(axis=2).any(axis=1)
+                assert index.any_dominator(cands).tolist() == expected.tolist()
+            assert index.any_dominator(cands[:0]).shape == (0,)
 
 
 class TestDominanceBuckets:

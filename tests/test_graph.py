@@ -30,9 +30,11 @@ EQ6 = Equation((104, 167), (165, 154, 148, 159, 174, 150))
 # path, a huge value every level through the tuple path, and the default
 # switches between them as the frontier narrows and widens.
 PATHS = {"arrays": 0, "mixed": graph.NARROW_FRONTIER, "tuples": 2**62}
-# Most solutions found while narrow levels still test children by buckets:
-# at 0 the buckets are empty whenever they are consulted, so every prune is
-# the bitset index's; a huge value keeps them for the whole search.
+# Most solutions found while narrow levels still take the tuple path and
+# test children by buckets: at 0 the buckets are empty whenever they are
+# consulted and every level after the first emission takes the ndarray path,
+# so every prune is the bitset index's; a huge value keeps them for the
+# whole search.
 BUCKET_CAPS = {"bitset": 0, "capped": graph.BUCKET_SOLUTIONS, "buckets": 2**62}
 
 
@@ -129,18 +131,24 @@ class TestGraphSolve:
     def test_search_is_clean(self, monkeypatch):
         # No duplicate walks, no duplicate or dominated emissions, no child
         # over a side-sum cap although the search never tests for one, and
-        # no narrow child on which the buckets and the bitset disagree.
+        # no narrow child on which the buckets and the bitset disagree: the
+        # audits raise on any of them.
         for _ in level_paths(monkeypatch):
             rng = random.Random(33)
             for _ in range(40):
                 w = random_weights(rng, 11, 5)
-                stats = GraphStats()
-                graph_solve(w.w, stats=stats, check_invariants=True)
-                assert stats.duplicate_walks == 0
-                assert stats.duplicate_emissions == 0
-                assert stats.insert.rejected == 0
-                assert stats.side_sum_overflows == 0
-                assert stats.bucket_mismatches == 0
+                graph_solve(w.w, check_invariants=True)
+
+    def test_check_invariants_raises_on_two_sided_seeds(self, monkeypatch):
+        # Seeded on both sides, the search builds solutions from both ends.
+        def both_sides(w):
+            n = len(w)
+            return [(tuple(int(j == i) for j in range(n)), w.w[i]) for i in range(n)]
+
+        monkeypatch.setattr(graph, "initial_proposals", both_sides)
+        for _ in level_paths(monkeypatch):
+            with pytest.raises(AssertionError, match="duplicate walk"):
+                graph_solve((3, 5, -7, -2), check_invariants=True)
 
     def test_frontier_cap(self):
         with pytest.raises(ResourceLimitError):

@@ -80,9 +80,15 @@ def test_every_call_solves_a_small_equation(call):
     [
         ("verify_small", graph_solve),
         ("graph_deep", graph_solve),
+        ("graph_wide", graph_solve),
         ("verify_small", completion_solve),
     ],
-    ids=["graph-verify_small", "graph-graph_deep", "completion-verify_small"],
+    ids=[
+        "graph-verify_small",
+        "graph-graph_deep",
+        "graph-graph_wide",
+        "completion-verify_small",
+    ],
 )
 def test_basis_matches_the_pinned_reference(workload, solve):
     # The benchmark's pinned size and SHA-256 of each corpus basis, checked
