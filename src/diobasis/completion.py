@@ -132,13 +132,17 @@ def completion_solve(
     so by default the search does not pay for it.
     """
     return solve_normalized(
-        problem, _solve, stats, Deadline.maybe(time_limit), check_invariants
+        problem,
+        _solve,
+        stats if stats is not None else CompletionStats(),
+        Deadline.maybe(time_limit),
+        check_invariants,
     )
 
 
 def _solve(
     w: WeightVector,
-    stats: CompletionStats | None,
+    stats: CompletionStats,
     deadline: Deadline | None,
     check_invariants: bool,
 ) -> BasisList:
@@ -146,7 +150,6 @@ def _solve(
     bounds = found.bounds
     if check_invariants:
         reference: BasisList = []
-        insert_stats = stats.insert if stats else None
 
         def bounds(child: Solution, i: int) -> bool:
             hit = found.bounds(child, i)
@@ -160,17 +163,16 @@ def _solve(
     while walks:
         width = len(walks)
         emitted, walks, children = completion_step(w, walks, bounds, deadline)
-        if stats:
-            stats.levels += 1
-            stats.proposals_processed += width
-            stats.children += children
+        stats.levels += 1
+        stats.proposals_processed += width
+        stats.children += children
         if check_invariants:
             for items, what in ((emitted, "emission"), (walks, "walk")):
                 if len(set(items)) < len(items):
                     raise AssertionError(f"duplicate {what}; scan rule violated")
             for sol in emitted:
-                insert_minimal(reference, sol, insert_stats)
-        elif stats:
+                insert_minimal(reference, sol, stats.insert)
+        else:
             stats.insert.inserted += len(emitted)
         for sol in emitted:
             found.add(sol)

@@ -207,22 +207,17 @@ def defect(w: WeightVector, x: Sequence[int]) -> int:
     return sum(wi * xi for wi, xi in zip(w.w, x))
 
 
+def dominated_or_equal(s: Sequence[int], t: Sequence[int]) -> bool:
+    """True when s <= t componentwise (equality allowed): the package's one
+    componentwise test, which every other dominance check calls."""
+    return all(map(operator.le, s, t))
+
+
 def dominates(s: Sequence[int], t: Sequence[int]) -> bool:
     """Strict componentwise dominance: s <= t everywhere and s != t."""
     if len(s) != len(t):
         raise ValueError("vectors must have equal length")
-    strict = False
-    for si, ti in zip(s, t):
-        if si > ti:
-            return False
-        if si < ti:
-            strict = True
-    return strict
-
-
-def dominated_or_equal(s: Sequence[int], t: Sequence[int]) -> bool:
-    """True when s <= t componentwise (equality allowed)."""
-    return all(si <= ti for si, ti in zip(s, t))
+    return dominated_or_equal(s, t) and not dominated_or_equal(t, s)
 
 
 @dataclass
@@ -279,24 +274,24 @@ def pareto_min(
 ) -> BasisList:
     """Minimal elements of a vector set under componentwise dominance, sorted.
 
-    Candidates are deduplicated and swept in ascending coordinate-sum order.
-    Two distinct vectors with the same sum cannot dominate each other, so a
-    kept vector is never evicted later.  Up to 512 distinct vectors a Python
-    loop tests them one at a time, which suits the many tiny calls of the
-    oracle and the solvers.  Above that, the sweep takes the vectors in
-    batches: one vectorized pass tests a batch against a
-    :class:`DominanceIndex` of the vectors kept so far, survivors of
-    different sums within the batch are compared with each other, and the
+    Up to 512 distinct vectors, the many tiny calls of the oracle and the
+    solvers, are swept in lex order as lex keeps its basis.  A dominator is
+    lexicographically smaller, so it comes first, and a dropped one is
+    itself bounded by a kept one: ``is_dominated`` against the kept vectors
+    is exact, nothing kept is ever evicted, and the result is already sorted.
+    Larger sets are swept in batches in ascending coordinate-sum order, where
+    equal sums never dominate each other.  One vectorized pass tests a batch
+    against a :class:`DominanceIndex` of the vectors kept so far, survivors
+    of different sums within the batch are compared with each other, and the
     rest join the index.  ``deadline`` is checked once per batch.
     """
     uniq = {tuple(v) for v in vectors}
     if len(uniq) > 512:
         return _pareto_min_numpy(uniq, deadline)
     kept: BasisList = []
-    for v in sorted(uniq, key=lambda v: (sum(v), v)):
-        if not any(dominated_or_equal(k, v) for k in kept):
+    for v in sorted(uniq):
+        if not is_dominated(kept, v):
             kept.append(v)
-    kept.sort()
     return kept
 
 
@@ -310,9 +305,6 @@ _TEST_CHUNK_BYTES = 1 << 23
 # Largest bitset index one pareto_min call may build.
 _INDEX_BYTES = 1 << 28
 _BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-# Inserts of at most this many vectors take the per-vector loop, whose cost
-# grows with the batch; larger ones pay the fixed cost of one vectorized pass.
-_LOOP_ROWS = 2
 
 
 def _pareto_min_numpy(uniq: set[Solution], deadline: Deadline | None) -> BasisList:
@@ -403,7 +395,9 @@ class DominanceIndex:
         self.masks = np.zeros((n, size, 1), dtype=np.uint64)
 
     def add(self, rows: np.ndarray) -> None:
-        """Index the vectors in ``rows`` (one per row)."""
+        """Index the vectors in ``rows`` (one per row), however few: set each
+        new bit at its vector's own value, then rerun the cumulative OR along
+        the value axis over the words the new bits land in."""
         if not len(rows):
             return
         n, size, capacity = self.masks.shape
@@ -414,22 +408,13 @@ class DominanceIndex:
             grown = np.zeros((n, size, max(stop, 2 * capacity)), dtype=np.uint64)
             grown[:, :, :capacity] = self.masks
             self.masks = grown
-        if len(rows) <= _LOOP_ROWS:
-            # A few vectors: carry each bit up the value axis directly.
-            for i, row in enumerate(rows.tolist(), self.count):
-                for k, v in enumerate(row):
-                    self.masks[k, v:, i >> 6] |= _BIT[i & 63]
-        else:
-            # The masks are already cumulative along the value axis, so it is
-            # enough to set each new bit at its vector's own value and rerun
-            # the cumulative OR over the words the new bits land in.
-            np.bitwise_or.at(
-                self.masks,
-                (np.arange(n), rows, (ids >> 6)[:, None]),
-                _BIT[ids & 63, None],
-            )
-            touched = self.masks[:, :, first:stop]
-            np.bitwise_or.accumulate(touched, axis=1, out=touched)
+        np.bitwise_or.at(
+            self.masks,
+            (np.arange(n), rows, (ids >> 6)[:, None]),
+            _BIT[ids & 63, None],
+        )
+        touched = self.masks[:, :, first:stop]
+        np.bitwise_or.accumulate(touched, axis=1, out=touched)
         self.count += len(rows)
 
     def any_dominator(self, cands: np.ndarray) -> np.ndarray:
@@ -483,9 +468,11 @@ class DominanceBuckets:
 
     def bounds(self, child: Solution, i: int) -> bool:
         """Is some added solution dominated by or equal to ``child``, the
-        search's last step having incremented position ``i``?"""
+        search's last step having incremented position ``i``?  Each member
+        of the bucket (i, child[i]) gets the full ``dominated_or_equal``
+        test, and the scan stops at the first hit."""
         for s in self.buckets[i].get(child[i], ()):
-            if all(map(operator.le, s, child)):
+            if dominated_or_equal(s, child):
                 return True
         return False
 

@@ -121,6 +121,27 @@ class TestDominance:
         if dominates(s, t) and dominates(t, u):
             assert dominates(s, u)
 
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.tuples(*([st.integers(0, 3)] * n)), max_size=8),
+                st.tuples(*([st.integers(0, 3)] * n)),
+            )
+        )
+    )
+    @example(([], (0, 1)))
+    @example(([(1, 2), (0, 3), (2, 2)], (1, 2)))
+    def test_kernel_is_the_elementwise_test(self, case):
+        # Small values make equal vectors and equal coordinates common.
+        basis, v = case
+        for t in basis + [v]:
+            below = [a <= b for a, b in zip(t, v)]
+            assert dominated_or_equal(t, v) == all(below)
+            assert dominates(t, v) == (all(below) and t != v)
+        basis = sorted(set(basis))
+        expected = any(all(a <= b for a, b in zip(t, v)) for t in basis)
+        assert core.is_dominated(basis, v) == expected
+
     @given(vector_pairs)
     def test_linearity_of_defect(self, pair):
         s, t = pair
@@ -181,10 +202,10 @@ class TestDominanceIndex:
         sizes=st.lists(st.integers(3, 40), min_size=1, max_size=4),
     )
     def test_any_dominator_is_the_brute_force_test(self, chunk_bytes, data, n, sizes):
-        # Batches of 1 and 2 rows take the per-vector loop, larger ones the
-        # vectorized pass; over 128 rows cross two 64-bit word boundaries and
-        # grow the capacity twice.  At 16 bytes a test splits its candidates
-        # into chunks of one or two rows.
+        # Batches of 1, 2 and more rows all take the one vectorized insert;
+        # over 128 rows cross two 64-bit word boundaries and grow the
+        # capacity twice.  At 16 bytes a test splits its candidates into
+        # chunks of one or two rows.
         row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
         rows = data.draw(st.lists(row, min_size=130, max_size=150))
         rows = np.array(rows, dtype=np.int32)
@@ -241,7 +262,8 @@ class TestDominanceBuckets:
 
 
 def pareto_reference(vecs):
-    """One vector at a time in ascending sum: the Python path at any size."""
+    """One vector at a time in ascending coordinate sum, then sorted: a
+    sweep order of its own, the reference for both paths of pareto_min."""
     kept = []
     for v in sorted(set(vecs), key=lambda v: (sum(v), v)):
         if not any(dominated_or_equal(k, v) for k in kept):
@@ -253,6 +275,7 @@ class TestParetoMin:
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), max_size=40))
     def test_minimal_and_covering(self, vecs):
         out = pareto_min(vecs)
+        assert out == pareto_reference(vecs)
         for v in vecs:
             assert any(dominated_or_equal(k, v) for k in out)
         for k in out:
