@@ -28,7 +28,6 @@ from .core import (
     dominates,
     ext_gcd,
     format_basis,
-    insert_minimal,
     oracle_basis,
     pareto_min,
     parse_equation,

@@ -22,7 +22,8 @@ Every emission is minimal, so the basis is kept by appending.  Emissions
 of one level share a coordinate sum, so none bounds another.  An earlier
 solution s <= c = x + e_i has s_i = c_i by the same argument, so c - s is a
 nonzero solution below x, and a basis element below it, of coordinate sum
-below x's, would have pruned x.
+below x's, would have pruned x.  Levels go by ascending coordinate sum, so
+the search meets ``insert_minimal``'s precondition too.
 
 ``completion_step`` is the one unit-step expansion of the package: the
 graph search runs it on its narrow levels (``graph.py``).
@@ -125,9 +126,9 @@ def completion_solve(
     procedure (normalized by ``core.solve_normalized``).
 
     With ``check_invariants`` the search also keeps a reference basis by
-    ``insert_minimal``, counting rejected and evicted emissions into
-    ``stats.insert``, checks each dominance verdict against ``is_dominated``
-    on it, and raises on a duplicate emission or walk; the scan rule, the
+    ``insert_minimal``, checks each dominance verdict against
+    ``is_dominated`` on it, and raises ``AssertionError`` on a duplicate
+    emission or walk and on a dominated emission; the scan rule, the
     equal-sum argument and the bucket argument prove none of that can fire,
     so by default the search does not pay for it.
     """
@@ -171,9 +172,9 @@ def _solve(
                 if len(set(items)) < len(items):
                     raise AssertionError(f"duplicate {what}; scan rule violated")
             for sol in emitted:
-                insert_minimal(reference, sol, stats.insert)
-        else:
-            stats.insert.inserted += len(emitted)
+                if not insert_minimal(reference, sol):
+                    raise AssertionError(f"dominated emission {sol}")
+        stats.insert.inserted += len(emitted)
         for sol in emitted:
             found.add(sol)
     return sorted(found.solutions)

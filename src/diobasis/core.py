@@ -10,7 +10,6 @@ under componentwise dominance.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -22,9 +21,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 Solution = tuple[int, ...]
-# A basis is a list of pairwise-incomparable nonzero solutions, kept sorted
-# lexicographically: dominance implies lex order, so a sorted basis lets
-# dominance scans stop early, and sorted output is diff-stable.
+# A basis is a list of pairwise-incomparable nonzero solutions.  A solver
+# builds it by appending, in the order it meets solutions, and returns it
+# sorted lexicographically, so output is diff-stable.
 BasisList = list[Solution]
 
 COEFFICIENT_LIMIT = 2**20
@@ -222,24 +221,18 @@ def dominates(s: Sequence[int], t: Sequence[int]) -> bool:
 
 @dataclass
 class InsertStats:
-    """Instrumentation for basis insertion; solvers expose it so tests can
-    assert structural invariants (e.g. lex enumeration never evicts)."""
+    """Counts of ``insert_minimal``: vectors appended and rejected.
+    ``evicted`` stays 0 by construction, since the rule never evicts."""
 
     inserted: int = 0
     rejected: int = 0
     evicted: int = 0
 
 
-def is_dominated(sorted_basis: BasisList, vec: Solution) -> bool:
-    """True when some member of a lex-sorted basis dominates or equals ``vec``.
-
-    Dominators are lexicographically <= the dominated vector, so only the
-    sorted prefix up to the insertion point needs scanning.
-    """
-    i = bisect.bisect_left(sorted_basis, vec)
-    if i < len(sorted_basis) and sorted_basis[i] == vec:
-        return True
-    for b in itertools.islice(sorted_basis, i):
+def is_dominated(basis: BasisList, vec: Solution) -> bool:
+    """True when some member of ``basis``, in any order, dominates or
+    equals ``vec``."""
+    for b in basis:
         if dominated_or_equal(b, vec):
             return True
     return False
@@ -247,26 +240,25 @@ def is_dominated(sorted_basis: BasisList, vec: Solution) -> bool:
 
 def insert_minimal(
     basis: BasisList, sol: Solution, stats: InsertStats | None = None
-) -> BasisList:
-    """Insert ``sol`` into a lex-sorted basis, preserving minimality.
+) -> bool:
+    """Append ``sol`` to ``basis`` unless a member dominates or equals it,
+    and return whether it was appended: the package's one rule for keeping
+    a basis.
 
-    ``sol`` is rejected when a stored solution dominates or equals it; any
-    stored solutions it dominates are evicted.  Returns ``basis`` (mutated in
-    place).  Only lex-larger vectors can be dominated by ``sol``, so the
-    eviction scan starts at the insertion point.
+    Precondition: every dominator of ``sol`` is passed in before ``sol``.
+    Then no later vector dominates a kept one, so nothing is ever evicted.
+    Lex order meets it, and so does coordinate-sum order: a dominator is
+    lexicographically smaller and has a smaller sum.  A caller that passes
+    vectors out of order silently gets a basis that is not minimal.
     """
     if is_dominated(basis, sol):
-        if stats:
+        if stats is not None:
             stats.rejected += 1
-        return basis
-    i = bisect.bisect_left(basis, sol)
-    tail = [b for b in itertools.islice(basis, i, len(basis)) if not dominated_or_equal(sol, b)]
-    if stats:
-        stats.evicted += len(basis) - i - len(tail)
+        return False
+    basis.append(sol)
+    if stats is not None:
         stats.inserted += 1
-    basis[i:] = tail
-    basis.insert(i, sol)
-    return basis
+    return True
 
 
 def pareto_min(
@@ -275,10 +267,10 @@ def pareto_min(
     """Minimal elements of a vector set under componentwise dominance, sorted.
 
     Up to 512 distinct vectors, the many tiny calls of the oracle and the
-    solvers, are swept in lex order as lex keeps its basis.  A dominator is
-    lexicographically smaller, so it comes first, and a dropped one is
-    itself bounded by a kept one: ``is_dominated`` against the kept vectors
-    is exact, nothing kept is ever evicted, and the result is already sorted.
+    solvers, are swept in lex order by ``insert_minimal``, as lex keeps its
+    basis.  A dominator is lexicographically smaller, so it comes first,
+    and a dropped one is itself bounded by a kept one: the rule's
+    precondition holds, and the result is already sorted.
     Larger sets are swept in batches in ascending coordinate-sum order, where
     equal sums never dominate each other.  One vectorized pass tests a batch
     against a :class:`DominanceIndex` of the vectors kept so far, survivors
@@ -290,8 +282,7 @@ def pareto_min(
         return _pareto_min_numpy(uniq, deadline)
     kept: BasisList = []
     for v in sorted(uniq):
-        if not is_dominated(kept, v):
-            kept.append(v)
+        insert_minimal(kept, v)
     return kept
 
 

@@ -57,11 +57,13 @@ DEFAULT_VARIANT = LexVariant()
 
 @dataclass
 class LexStats:
-    """Search instrumentation: prefix nodes visited and insertion behavior.
+    """Search instrumentation: prefix nodes visited, emissions, and the
+    counts of ``insert_minimal``.
 
-    Solutions come out in lexicographic order, so a later emission can never
-    dominate a stored one; ``insert.evicted`` staying at zero is an invariant
-    tests assert.
+    The walk tries values in ascending order and ``solve_two_var`` returns
+    x in ascending order, so emissions come out in strictly increasing lex
+    order: ``insert_minimal``'s precondition holds, and the basis is built
+    sorted.
     """
 
     prefixes: int = 0

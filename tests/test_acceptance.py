@@ -99,7 +99,8 @@ def test_criterion_3_slopes3_exactness():
 
 
 def test_criterion_4_completion_uniqueness():
-    # check_invariants raises on a duplicate emission or walk.
+    # check_invariants raises on a duplicate emission or walk and on a
+    # dominated emission, so rejected and evicted stay 0 by construction.
     dropped = 0
     for eq in agreement_corpus():
         stats = CompletionStats()

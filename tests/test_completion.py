@@ -160,18 +160,33 @@ class TestCompletionDeadline:
 
 class TestCompletionInvariants:
     def test_no_duplicate_emissions_on_corpus(self):
-        # check_invariants raises on a duplicate emission or walk and on a
-        # bucket verdict that is_dominated contradicts.
+        # check_invariants raises on a duplicate emission or walk, on a
+        # dominated emission and on a bucket verdict that is_dominated
+        # contradicts.
         rng = random.Random(5)
         for _ in range(60):
             eq = random_equation(rng)
             stats = CompletionStats()
             basis = completion_solve(eq, stats=stats, check_invariants=True)
-            # No emission is ever rejected or evicted: solutions arrive in
-            # nondecreasing coordinate-sum order and are already minimal.
-            assert stats.insert.rejected == 0
-            assert stats.insert.evicted == 0
+            assert basis == oracle_basis(eq)
             assert stats.insert.inserted == len(basis)
+
+    def test_dominated_emission_raises(self, monkeypatch):
+        # A level after the first solution s also emits 2s, which s bounds.
+        seen = []
+
+        def step(w, walks, bounds, deadline=None):
+            emitted, kept, children = completion_step(w, walks, bounds, deadline)
+            extra = [tuple(2 * v for v in seen[0])] if seen else []
+            seen.extend(emitted)
+            return emitted + extra, kept, children
+
+        monkeypatch.setattr(completion, "completion_step", step)
+        eq = parse_equation("7 3 = 5 4 2")
+        assert completion_solve(eq) != oracle_basis(eq)
+        seen.clear()
+        with pytest.raises(AssertionError, match="dominated emission"):
+            completion_solve(eq, check_invariants=True)
 
     def test_level_sum_invariant(self):
         w = WeightVector((5, 3, -3, -2))

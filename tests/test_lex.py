@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from diobasis.core import Equation, WeightVector, build_weights, oracle_basis, parse_equation
+from diobasis import lex
+from diobasis.core import (
+    Equation,
+    WeightVector,
+    build_weights,
+    insert_minimal,
+    oracle_basis,
+    parse_equation,
+)
 from diobasis.lex import (
     ALL_VARIANTS,
     BoundKind,
@@ -55,16 +63,25 @@ class TestLexSolve:
             for variant in ALL_VARIANTS:
                 assert lex_solve(eq, variant) == want, (eq.text(), variant)
 
-    def test_insertion_never_evicts(self):
-        # Dominance implies lex order, so a later emission cannot push out a
-        # stored solution.
+    def test_emissions_strictly_increase_in_lex_order(self, monkeypatch):
+        # insert_minimal's precondition: lex passes it every vector after
+        # all of that vector's dominators, since a dominator is lex-smaller.
+        seen = []
+
+        def record(basis, sol, stats):
+            seen.append(sol)
+            return insert_minimal(basis, sol, stats)
+
+        monkeypatch.setattr(lex, "insert_minimal", record)
         rng = random.Random(77)
-        for _ in range(40):
-            eq = random_equation(rng)
+        equations = [random_equation(rng) for _ in range(40)]
+        equations += [parse_equation(text) for text in WALK_COUNTERS]
+        for eq in equations:
             for variant in ALL_VARIANTS:
-                stats = LexStats()
-                lex_solve(eq, variant, stats=stats)
-                assert stats.insert.evicted == 0
+                seen.clear()
+                basis = lex_solve(eq, variant)
+                assert all(a < b for a, b in zip(seen, seen[1:])), (eq.text(), variant)
+                assert basis == oracle_basis(eq)
 
     def test_lambert_explores_subset_of_huet(self):
         rng = random.Random(40)
