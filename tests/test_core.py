@@ -163,6 +163,16 @@ class TestInsertMinimal:
         assert not insert_minimal(basis, (1, 1))
         assert basis == [(1, 1)]
 
+    def test_stats(self):
+        # In coordinate-sum order: a repeat and a dominated vector are
+        # rejected, an incomparable one kept, and nothing is evicted.
+        stats = InsertStats()
+        basis = []
+        for v in [(1, 1), (1, 1), (0, 3), (2, 2)]:
+            insert_minimal(basis, v, stats)
+        assert basis == [(1, 1), (0, 3)]
+        assert (stats.inserted, stats.rejected, stats.evicted) == (2, 2, 0)
+
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)), max_size=15))
     def test_pairwise_incomparable(self, sols):
         # Fed in lex order, the basis is an antichain and stays sorted.
@@ -181,7 +191,7 @@ class TestInsertMinimal:
         )
     )
     @example([(1, 1), (2, 2), (1, 1), (0, 3)])
-    def test_either_sweep_order_gives_the_minimal_set(self, vecs):
+    def test_order_independent(self, vecs):
         # The rule's precondition holds in lex order and in (sum, lex)
         # order: each keeps exactly the minimal vectors and rejects the rest.
         vecs = {v for v in vecs if any(v)}
