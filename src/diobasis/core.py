@@ -445,6 +445,13 @@ class DominanceBuckets:
     Completion and the graph search expand level by level in coordinate
     sum and add each level's solutions before testing the next level's
     children, which is the condition above.
+
+    ``lex.prefix_walk`` is the third user, with a precondition of its own.
+    It tests ``bounds(prefix, i)`` at every value > 0 its loop over
+    position i reaches, in ascending order under one parent prefix that no
+    added solution bounds, and it stops the loop after a balanced prefix.
+    Then any added s <= prefix has s_i = prefix_i, by the argument in that
+    function's docstring.
     """
 
     def __init__(self, n: int):

@@ -9,7 +9,9 @@ Euclidean parametrization.
 
 The budgeted walk, ``prefix_walk``, takes the positions to enumerate in order,
 a tail length and a leaf callback; the slopes solver enumerates with it too,
-leaving three positions to its own tail.
+leaving three positions to its own tail.  Besides the bounds, the walk prunes
+by the solutions it has met, as Huet's algorithm does: it skips every prefix
+that lies above a balanced prefix found earlier.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Any, Callable, Sequence
 from .core import (
     BasisList,
     Deadline,
+    DominanceBuckets,
     Equation,
     InsertStats,
     Solution,
@@ -134,6 +137,31 @@ def prefix_walk(
     positive-weight positions are bounded by the largest opposing
     coefficient and vice versa.  ``stats`` is any record with a
     ``prefixes`` counter; every visited node counts, leaves too.
+
+    The walk also prunes by the solutions it has met (Huet 1978).  A leaf
+    whose prefix is nonzero and balanced (``d == 0``) is itself a solution
+    with a zero tail, which the leaf emits; the walk files it in its own
+    ``DominanceBuckets``.  A prefix that bounds a filed solution s can only
+    extend to s itself, already met, or to vectors above s, which are not
+    minimal.  So the value loop at (j, value) breaks once the prefix bounds
+    a filed solution; larger values bound it too.  After a balanced nonzero
+    prefix, the loop breaks as well: its zero extension bounds every later
+    sibling.
+
+    One bucket lookup, (order[j], value), is the whole test at value > 0.
+    It comes before the envelope ``continue``, so every value the loop
+    reaches is tested.  By induction, no filed solution bounds a prefix
+    when the walk enters it.  Value 0 extends the parent's prefix by a
+    zero, with nothing filed in between.  At value > 0, let s be filed with
+    s <= prefix and s[order[j]] < value:
+    - s filed inside an earlier sibling's subtree agrees with that sibling
+      on order[:j+1] and is zero beyond, so it is the sibling's balanced
+      zero extension, after which the loop broke.
+    - Otherwise s was filed before the parent was entered.  With
+      s[order[j]] == 0, s bounds the parent's prefix, against the
+      induction.  With s[order[j]] > 0, s bounds the sibling of that value,
+      which was tested with s in its bucket, and the loop broke there.
+    So a blocker has exactly ``value`` at order[j].
     """
     weights = w.w
     lambert = bound is BoundKind.LAMBERT
@@ -156,12 +184,16 @@ def prefix_walk(
             hi_from[j] = hi_from[j + 1] + (wj * w.max_b if wj > 0 else 0)
             lo_from[j] = lo_from[j + 1] + (wj * w.max_a if wj < 0 else 0)
 
+    blockers = DominanceBuckets(len(weights))
+
     def walk(j: int, d: int, pos_budget: int, neg_budget: int) -> None:
         stats.prefixes += 1
         if deadline is not None and stats.prefixes % 1024 == 0:
             deadline.check()
         if j == stop:
             leaf(d, pos_budget, neg_budget)
+            if d == 0 and any(assigned):
+                blockers.add(tuple(assigned))
             return
         pos = order[j]
         wj = ordered[j]
@@ -186,9 +218,13 @@ def prefix_walk(
                 break
             if wj < 0 and dv + hi < 0:
                 break
+            if value and blockers.bounds(assigned, pos):
+                break
             if dv + lo > 0 or dv + hi < 0:
                 continue
             walk(j + 1, dv, pb, nb)
+            if dv == 0 and any(assigned):
+                break
         assigned[pos] = 0
 
     walk(0, 0, w.max_b, w.max_a)

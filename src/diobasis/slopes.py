@@ -1,7 +1,8 @@
 """Slopes algorithm: direct minimal solutions of a*x = b*y + c*z, plus the
 all-but-three enumeration wrapper for wider equations.  The wrapper
 enumerates with the lex solver's budgeted walk (``lex.prefix_walk``, per-side
-running-sum caps and envelope pruning), with x, y and z as its tail.
+running-sum caps, envelope pruning, and pruning above the balanced prefixes
+it has met), with x, y and z as its tail.
 
 The three-unknown solver walks the staircase of minimal (y, z) points
 directly: gcd arithmetic yields the extreme solutions and the first interior

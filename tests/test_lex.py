@@ -3,12 +3,16 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diobasis import lex
 from diobasis.core import (
+    DominanceBuckets,
     Equation,
     WeightVector,
     build_weights,
+    dominated_or_equal,
     insert_minimal,
     oracle_basis,
     parse_equation,
@@ -23,6 +27,7 @@ from diobasis.lex import (
     solve_two_var,
     tail_solve,
 )
+from diobasis.slopes import SlopesStats, slopes_solve
 
 HUET_ONE = LexVariant(BoundKind.HUET, TailKind.LAST_ONE)
 HUET_TWO = LexVariant(BoundKind.HUET, TailKind.LAST_TWO)
@@ -96,43 +101,45 @@ class TestLexSolve:
 
 
 # (prefixes, emissions, inserted, rejected, evicted) per equation and
-# variant, pinned so that any change to the walk's pruning shows.
+# variant, pinned so that any change to the walk's pruning shows.  The
+# second tuple is the walk's figure before it pruned by found solutions: an
+# upper bound on the first, field by field.
 WALK_COUNTERS = {
     "5 = 3 2": {
-        HUET_ONE: (16, 5, 3, 2, 0),
-        HUET_TWO: (5, 5, 3, 2, 0),
-        LAMBERT_ONE: (13, 4, 3, 1, 0),
-        LAMBERT_TWO: (5, 4, 3, 1, 0),
+        HUET_ONE: ((16, 5, 3, 2, 0), (16, 5, 3, 2, 0)),
+        HUET_TWO: ((5, 5, 3, 2, 0), (5, 5, 3, 2, 0)),
+        LAMBERT_ONE: ((13, 4, 3, 1, 0), (13, 4, 3, 1, 0)),
+        LAMBERT_TWO: ((5, 4, 3, 1, 0), (5, 4, 3, 1, 0)),
     },
     "6 4 3 = 7": {
-        HUET_ONE: (277, 36, 9, 27, 0),
-        HUET_TWO: (52, 36, 9, 27, 0),
-        LAMBERT_ONE: (165, 17, 9, 8, 0),
-        LAMBERT_TWO: (45, 17, 9, 8, 0),
+        HUET_ONE: ((277, 36, 9, 27, 0), (277, 36, 9, 27, 0)),
+        HUET_TWO: ((52, 36, 9, 27, 0), (52, 36, 9, 27, 0)),
+        LAMBERT_ONE: ((165, 17, 9, 8, 0), (165, 17, 9, 8, 0)),
+        LAMBERT_TWO: ((45, 17, 9, 8, 0), (45, 17, 9, 8, 0)),
     },
     "3 2 = 4 1": {
-        HUET_ONE: (48, 20, 8, 12, 0),
-        HUET_TWO: (27, 20, 8, 12, 0),
-        LAMBERT_ONE: (33, 11, 8, 3, 0),
-        LAMBERT_TWO: (21, 11, 8, 3, 0),
+        HUET_ONE: ((36, 8, 8, 0, 0), (48, 20, 8, 12, 0)),
+        HUET_TWO: ((27, 20, 8, 12, 0), (27, 20, 8, 12, 0)),
+        LAMBERT_ONE: ((30, 8, 8, 0, 0), (33, 11, 8, 3, 0)),
+        LAMBERT_TWO: ((21, 11, 8, 3, 0), (21, 11, 8, 3, 0)),
     },
     "7 3 = 5 4 2": {
-        HUET_ONE: (774, 288, 25, 263, 0),
-        HUET_TWO: (231, 288, 25, 263, 0),
-        LAMBERT_ONE: (238, 77, 25, 52, 0),
-        LAMBERT_TWO: (101, 77, 25, 52, 0),
+        HUET_ONE: ((224, 55, 25, 30, 0), (774, 288, 25, 263, 0)),
+        HUET_TWO: ((126, 124, 25, 99, 0), (231, 288, 25, 263, 0)),
+        LAMBERT_ONE: ((150, 44, 25, 19, 0), (238, 77, 25, 52, 0)),
+        LAMBERT_TWO: ((77, 56, 25, 31, 0), (101, 77, 25, 52, 0)),
     },
     "4 6 = 5 3 2 7": {
-        HUET_ONE: (15068, 1983, 32, 1951, 0),
-        HUET_TWO: (2626, 1983, 32, 1951, 0),
-        LAMBERT_ONE: (1633, 215, 32, 183, 0),
-        LAMBERT_TWO: (652, 215, 32, 183, 0),
+        HUET_ONE: ((826, 66, 32, 34, 0), (15068, 1983, 32, 1951, 0)),
+        HUET_TWO: ((461, 209, 32, 177, 0), (2626, 1983, 32, 1951, 0)),
+        LAMBERT_ONE: ((556, 52, 32, 20, 0), (1633, 215, 32, 183, 0)),
+        LAMBERT_TWO: ((292, 90, 32, 58, 0), (652, 215, 32, 183, 0)),
     },
     "9 5 2 = 8 6 3": {
-        HUET_ONE: (24561, 6621, 55, 6566, 0),
-        HUET_TWO: (5976, 6621, 55, 6566, 0),
-        LAMBERT_ONE: (2582, 629, 55, 574, 0),
-        LAMBERT_TWO: (925, 629, 55, 574, 0),
+        HUET_ONE: ((2195, 145, 55, 90, 0), (24561, 6621, 55, 6566, 0)),
+        HUET_TWO: ((1801, 1232, 55, 1177, 0), (5976, 6621, 55, 6566, 0)),
+        LAMBERT_ONE: ((912, 123, 55, 68, 0), (2582, 629, 55, 574, 0)),
+        LAMBERT_TWO: ((602, 372, 55, 317, 0), (925, 629, 55, 574, 0)),
     },
 }
 
@@ -151,7 +158,61 @@ class TestWalkCounters:
             stats.insert.rejected,
             stats.insert.evicted,
         )
-        assert got == WALK_COUNTERS[text][variant]
+        pinned, unpruned = WALK_COUNTERS[text][variant]
+        assert got == pinned
+        assert all(g <= u for g, u in zip(got, unpruned))
+
+
+class FullScanBlockers(DominanceBuckets):
+    """The walk's blockers with the bucket shortcut taken out: ``bounds``
+    tests the child against every filed solution."""
+
+    def bounds(self, child, i):
+        return any(dominated_or_equal(s, child) for s in self.solutions)
+
+
+def walk_runs(eq):
+    """(prefixes, basis) of each lex variant and of slopes on ``eq``."""
+    runs = []
+    for variant in ALL_VARIANTS:
+        stats = LexStats()
+        basis = lex_solve(eq, variant, stats=stats)
+        runs.append((stats.prefixes, basis))
+    stats = SlopesStats()
+    basis = slopes_solve(eq, stats=stats)
+    runs.append((stats.prefixes, basis))
+    return runs
+
+
+class TestWalkPrune:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sides=st.integers(2, 6).flatmap(
+            lambda n: st.integers(1, n - 1).flatmap(
+                lambda k: st.tuples(
+                    st.lists(st.integers(1, 15), min_size=k, max_size=k),
+                    st.lists(st.integers(1, 15), min_size=n - k, max_size=n - k),
+                )
+            )
+        )
+    )
+    # Slopes enumerates the weights 2, -2, -4 here.  The prefix (1, 1)
+    # balances, and so does its value 0 at -4, whose later values only the
+    # balanced-prefix break stops: no bucket lookup finds that blocker.
+    @example(sides=([2, 6], [2, 4, 3, 1]))
+    def test_buckets_prune_exactly_what_a_full_scan_prunes(self, sides):
+        # The bucket lookup at (order[j], value) finds every filed solution
+        # that bounds the prefix: the walk visits the same prefixes as with
+        # a scan of all of them, and still emits the whole basis.
+        eq = Equation(tuple(sides[0]), tuple(sides[1]))
+        want = oracle_basis(eq)
+        bucketed = walk_runs(eq)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lex, "DominanceBuckets", FullScanBlockers)
+            scanned = walk_runs(eq)
+        for (prefixes, basis), (full_prefixes, full_basis) in zip(bucketed, scanned):
+            assert prefixes == full_prefixes, eq.text()
+            assert basis == full_basis == want, eq.text()
 
 
 class TestTailSolveOne:
