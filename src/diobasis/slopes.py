@@ -10,12 +10,17 @@ point, and a Euclidean update of the slope deltas (dy, dz) generates the
 rest with z strictly increasing.  Only the seeds are dominance-filtered,
 which absorbs the degenerate seed cases.
 
-For residuals a*x = b*y + c*z + v with v != 0 (they appear once the wrapper
-enumerates the other unknowns) the generation is not covered by the direct
-construction.  A congruence scan solves b*y + c*z = -v (mod a) per z with the
-smallest admissible y, and keeps a triple only when its y undercuts every
-earlier one, so the residual's minimal solutions come out as a staircase
-with no Pareto filtering (Filgueiras & Tomas, J. Symbolic Computation 1995).
+Residuals a*x = b*y + c*z + v with v != 0 appear once the wrapper
+enumerates the other unknowns.  ``solve3_general`` walks each one's
+staircase too (Filgueiras & Tomas, J. Symbolic Computation 1995): the
+smallest admissible y solves b*y = -v - c*z (mod a), only every t-th z is
+solvable, and from one solvable z to the next y's residue falls by a fixed
+d.  The minimal solutions are the records, the triples whose y undercuts
+every earlier one.  While x >= 0 forces y above its residue (v < 0, small
+z) the solver scans; after that it jumps from record to record, using the
+record minima of k*d mod a/gcd(a, b), which a Euclidean update lists once
+per (a, b, c).  Its work follows the staircase it returns, not the period
+of c*z mod a, and it needs no Pareto filtering.
 """
 
 from __future__ import annotations
@@ -124,16 +129,63 @@ def slopes3(a: int, b: int, c: int, deadline: Deadline | None = None) -> BasisLi
     return sorted(pareto_min(seeds) + descent)
 
 
+def _record_blocks(m: int, d: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Record minima of k*d mod m over k = 1, 2, ..., remainders taken in
+    (0, m]: the k whose remainder is below every earlier one.
+
+    Each block (last, r0, k0, dr, dk) holds the records r0 - j*dr at
+    k = k0 + j*dk for j = 0, 1, ... down to remainder ``last``; blocks come
+    in order of k, so remainders fall throughout.  The first block is k = 1
+    alone (remainder d, or m when d = 0).  The rest is the Euclidean
+    algorithm on the lowest remainder lo (at lo_k) and the highest, as its
+    distance hi below m (k*d = -hi mod m, at hi_k), with its intermediate
+    steps kept: reducing hi by lo passes only through high remainders, and
+    each subtraction of the new hi from lo is the next record minimum, the
+    classic best one-sided approximations of d/m (three-distance theorem).
+    The records end when hi reaches 0, since k*d mod m is then periodic;
+    the final ``last`` is gcd(d, m).  O(log m) blocks.
+    """
+    lo = d or m
+    blocks = [(lo, lo, 1, 1, 0)]
+    lo_k, hi_k, hi = 1, 0, m
+    while True:
+        f, hi = divmod(hi, lo)
+        if hi == 0:
+            return tuple(blocks)
+        hi_k += f * lo_k
+        j_last = (lo - 1) // hi
+        blocks.append((lo - j_last * hi, lo - hi, lo_k + hi_k, hi, hi_k))
+        lo -= j_last * hi
+        lo_k += j_last * hi_k
+
+
 @functools.lru_cache(maxsize=64)
-def _congruence(a: int, b: int) -> tuple[int, int, int]:
-    """(g, step, inv) for solving b*y = r (mod a): g = gcd(a, b), y is
-    unique modulo step = a/g, and inv inverts b/g modulo step.  One solve
-    asks for the same (a, b) on every residual, so the result is cached."""
-    g = math.gcd(b, a)
+def _residual_setup(a: int, b: int, c: int) -> tuple:
+    """What ``solve3_general`` derives from (a, b, c) alone; one slopes solve
+    asks for the same (a, b, c) on every residual, so it is cached.
+
+    (g, step, inv, h, t, c_inv, d, period, blocks): g = gcd(a, b), and y is
+    unique modulo step = a/g with inv inverting b/g modulo step; z is
+    unique modulo t = g/h, h = gcd(g, c), with c_inv inverting c/h modulo
+    t; d is the fall of y's residue from one solvable z to the next, period
+    that of c*z mod a, and blocks the record decrements of k*d mod step.
+    """
+    g = math.gcd(a, b)
     step = a // g
-    bg = (b // g) % step
-    inv = ext_gcd(bg, step)[1] % step if step > 1 else 0
-    return g, step, inv
+    inv = ext_gcd(b // g % step, step)[1] % step
+    h = math.gcd(g, c)
+    t = g // h
+    c_inv = ext_gcd(c // h % t, t)[1] % t
+    d = c // h * inv % step
+    period = a // math.gcd(a, c)
+    return g, step, inv, h, t, c_inv, d, period, _record_blocks(step, d)
+
+
+class Staircase(list):
+    """The sorted minimal solutions of one residual, with ``steps``: the z
+    values its solve visited, scan steps and descent landings."""
+
+    __slots__ = ("steps",)
 
 
 def solve3_general(
@@ -145,74 +197,130 @@ def solve3_general(
     x_cap: int | None = None,
     yz_cap: int | None = None,
     deadline: Deadline | None = None,
-) -> BasisList:
-    """Minimal natural solutions of a*x = b*y + c*z + v by congruence scan.
+) -> Staircase:
+    """Minimal natural solutions of a*x = b*y + c*z + v, by descent.
 
-    Iterates z upwards and solves b*y = -v - c*z (mod a) for the smallest
-    admissible y; larger congruent y only raise x, so they are dominated.
-    Since x rises with both y and z, a triple is dominated by an earlier one
-    exactly when that one's y is no larger.  The scan therefore keeps a
-    triple only when its y is below the running minimum, which yields the
-    staircase of minimal solutions without any Pareto filtering.
-    Unsolvable congruence classes contribute nothing.  With v = 0 this
-    reproduces ``slopes3``.  Optional caps restrict x and y+z, e.g. to the
-    per-side budgets of an enclosing equation.
+    For fixed z, the y with a*x = b*y + c*z + v for some integer x form one
+    class modulo step = a/g, g = gcd(a, b), when g divides v + c*z, and
+    none otherwise.  The smallest admissible y gives the smallest x, and
+    larger congruent y only raise x, so they are dominated.  Solvable z
+    form one class z0 modulo t = g/h, h = gcd(g, c) (no class when h does
+    not divide v), and from one to the next y's residue falls by
+    d = (c/h)*inv modulo step.  Since x rises with both y and z, a triple
+    is dominated by an earlier one (smaller z) exactly when that one's y is
+    no larger: the minimal solutions are the records, the triples whose y
+    is below every earlier y, and they come out as a staircase with no
+    Pareto filtering (Filgueiras & Tomas, J. Symbolic Computation 1995).
+
+    While -v - c*z > 0, which needs v < 0, x >= 0 asks b*y >= -v - c*z, so
+    y is lifted by multiples of step to that floor; those z are scanned one
+    by one.  After them y is its residue, and the solver descends.  From a
+    residue y, the next record is at the first k >= 1 with k*d mod step in
+    (0, y]: the residue k solvable z later is y - (k*d mod step), and a
+    decrement above y wraps to above y (a zero one leaves y as it is).  No
+    earlier k has a remainder as low, so that k is a record minimum of
+    k*d mod step, and those minima do not depend on y: ``_record_blocks``
+    lists them once per (a, b, c), and one division finds the right one in
+    a block.  Because y only falls, the search never moves back a block.
+    The descent ends once y is below the smallest decrement, gcd(d, step),
+    and so at y = 0.  It visits the records of the residues, which below
+    the lifted minimum are the records of all triples.
+
+    Beyond one full period of c*z mod a (shifted while x would go negative
+    for v < 0), every triple is dominated by its counterpart one period
+    earlier, so z stops there.  With v = 0 the first triple (z = 0, residue
+    0) takes y = step, which skips the all-zero vector; the output then
+    reproduces ``slopes3``.
+
+    Optional caps restrict x and y+z, e.g. to the per-side budgets of an
+    enclosing equation.  A triple that fails a cap still counts as a
+    record: each later triple it would have dominated has a larger z and
+    no smaller y, so a larger x and y+z, and fails the same cap.  So the
+    records within the caps are the minimal solutions within the caps.
+    The deadline is checked every 4096 z visited.
     """
     if min(a, b, c) < 1:
         raise ValueError("coefficients must be >= 1")
-    # Beyond one full period of c*z mod a (shifted while x would go negative
-    # for v < 0), every candidate is dominated by its counterpart one period
-    # earlier.
-    period = a // math.gcd(a, c)
+    g, step, inv, h, t, c_inv, d, period, blocks = _residual_setup(a, b, c)
+    staircase = Staircase()
+    staircase.steps = 0
+    if v % h:
+        return staircase  # no z is solvable
     z_top = period + (-(v // c) if v < 0 else 0)
     if yz_cap is not None:
         z_top = min(z_top, yz_cap)
-
-    g, step, inv = _congruence(a, b)
-
-    staircase: list[Solution] = []
-    y_min = None
-    # The deadline is checked every 4096 z of a long scan; the walk checks
-    # before each residual's scan.
-    long_scan = deadline is not None and z_top >= 4096
-    for z in range(z_top + 1):
-        if long_scan and z % 4096 == 4095:
+    z = (-v // h) % t * c_inv % t
+    rhs = -v - c * z
+    y = rhs // g % step * inv % step
+    y_min = math.inf
+    emit = staircase.append
+    steps = 0
+    while rhs > 0 and z <= z_top:
+        steps += 1
+        if deadline is not None and not steps & 4095:
             deadline.check()
-        rhs = -v - c * z
-        if rhs % g:
-            continue
-        y = ((rhs // g) % step) * inv % step if step > 1 else 0
-        if rhs > 0:
-            # x >= 0 needs b*y >= rhs
-            y_floor = -((-rhs) // b)
-            if y < y_floor:
-                y += -((y - y_floor) // step) * step
-        if v == 0 and z == 0 and y == 0:
-            y += step  # skip the all-zero vector
-        if y_min is not None and y >= y_min:
-            continue
-        # Only triples within the caps set the running minimum.  (Both caps
-        # grow with y and z, so a dropped triple also rules out every later
-        # one it would have dominated.)
-        if yz_cap is not None and y + z > yz_cap:
-            continue
-        x = _exact_x(b * y + c * z + v, a)
-        if x_cap is not None and x > x_cap:
-            continue
-        staircase.append((x, y, z))
-        y_min = y
-        if y == 0:
-            break
+        y_floor = -(-rhs // b)  # x >= 0 needs b*y >= rhs
+        lifted = y
+        if lifted < y_floor:
+            lifted += (y_floor - y + step - 1) // step * step
+        if lifted < y_min:
+            y_min = lifted
+            if yz_cap is None or lifted + z <= yz_cap:
+                x = (b * lifted + c * z + v) // a
+                if x_cap is None or x <= x_cap:
+                    emit((x, lifted, z))
+        y -= d
+        if y < 0:
+            y += step
+        z += t
+        rhs -= c * t
+    if z <= z_top:
+        # y is its residue from here on; descend from record to record.
+        if v == 0:
+            y = step
+        steps += 1
+        d_min = blocks[-1][0]
+        i = 0
+        last, r0, k0, dr, dk = blocks[0]
+        while True:
+            if y < y_min and (yz_cap is None or y + z <= yz_cap):
+                x = (b * y + c * z + v) // a
+                if x_cap is None or x <= x_cap:
+                    emit((x, y, z))
+            if y < d_min:
+                break
+            while last > y:  # the first block that reaches y or below
+                i += 1
+                last, r0, k0, dr, dk = blocks[i]
+            j = (r0 - y + dr - 1) // dr if r0 > y else 0  # its first record <= y
+            y -= r0 - j * dr
+            z += (k0 + j * dk) * t
+            if z > z_top:
+                break
+            steps += 1
+            if deadline is not None and not steps & 4095:
+                deadline.check()
     staircase.sort()
+    staircase.steps = steps
     return staircase
 
 
 @dataclass
 class SlopesStats:
+    """Counters of one slopes solve.
+
+    ``prefixes`` counts the walk's prefixes and ``candidates`` the vectors
+    handed to the final filter.  ``residuals_direct`` counts residuals with
+    v = 0, answered from ``slopes3``; ``residuals_scan`` counts residuals
+    with v != 0, each solved by ``solve3_general``, and ``residual_steps``
+    the z values those solves visited (scan steps plus descent landings).
+    """
+
     prefixes: int = 0
     residuals_direct: int = 0
     residuals_scan: int = 0
     candidates: int = 0
+    residual_steps: int = 0
 
 
 def slopes_solve(
@@ -276,6 +384,7 @@ def _solve(w: WeightVector, stats: SlopesStats, deadline: Deadline | None) -> Ba
             triples = solve3_general(
                 a, b, c, v, x_cap=pos_budget, yz_cap=neg_budget, deadline=deadline
             )
+            stats.residual_steps += triples.steps
         for x, y, z in triples:
             full = list(assigned)
             full[x_pos] = x

@@ -1,4 +1,4 @@
-"""Slopes three-unknown solver, the congruence scan, and the wrapper."""
+"""Slopes three-unknown solver, the residual descent, and the wrapper."""
 
 import math
 import random
@@ -21,6 +21,7 @@ from diobasis.core import (
 from diobasis.graph import graph_solve
 from diobasis.slopes import (
     SlopesStats,
+    _record_blocks,
     multiplier,
     slopes3,
     slopes3_generation,
@@ -43,8 +44,8 @@ def brute3(a, b, c, v, lim):
 
 
 def scan3_reference(a, b, c, v, x_cap=None, yz_cap=None):
-    """Congruence scan then Pareto filter: the reference that
-    ``solve3_general``'s running-minimum staircase must reproduce."""
+    """Congruence scan over every z of a period, then a Pareto filter: the
+    reference that ``solve3_general``'s descent must reproduce."""
     period = a // math.gcd(a, c)
     z_top = period + (-(v // c) if v < 0 else 0)
     if yz_cap is not None:
@@ -142,6 +143,24 @@ class TestSlopes3:
 
 
 class TestSolve3General:
+    def test_record_blocks_list_the_record_minima(self):
+        # The descent's moves: every k whose k*d mod m (0 read as m) is
+        # below that of every earlier k, against a brute-force list.
+        for m in range(1, 201):
+            for d in range(m):
+                want, low = [], m + 1
+                for k in range(1, m + 1):
+                    r = k * d % m or m
+                    if r < low:
+                        want.append((k, r))
+                        low = r
+                got = [
+                    (k0 + j * dk, r0 - j * dr)
+                    for last, r0, k0, dr, dk in _record_blocks(m, d)
+                    for j in range((r0 - last) // dr + 1)
+                ]
+                assert got == want, (m, d)
+
     def test_v_zero_reduces_to_slopes3(self):
         for a in range(1, 11):
             for b in range(1, 11):
@@ -177,15 +196,24 @@ class TestSolve3General:
                 assert (b * y + c * z + v) % a == 0
                 assert a * x == b * y + c * z + v
 
+    # v down to -5000 makes long scans over the lifted z (x >= 0 forces y
+    # above its residue while c*z < -v) before the descent takes over.
     @settings(max_examples=300, deadline=None)
     @given(
-        st.integers(1, 60),
-        st.integers(1, 60),
-        st.integers(1, 60),
-        st.integers(-200, 200),
-        st.none() | st.integers(0, 120),
-        st.none() | st.integers(0, 120),
+        st.integers(1, 600),
+        st.integers(1, 600),
+        st.integers(1, 600),
+        st.integers(-5000, 600),
+        st.none() | st.integers(0, 1200),
+        st.none() | st.integers(0, 6000),
     )
+    @example(5, 3, 2, 0, None, None)  # v = 0 skips the all-zero vector
+    @example(6, 4, 3, -7, None, None)  # only every t = 2nd z is solvable
+    @example(6, 4, 2, 1, None, None)  # no z is solvable: []
+    # After the lift, a record over yz_cap (2, 5) and over x_cap (1, 5)
+    # still bounds later triples; (0, 6) is kept after each.
+    @example(9, 7, 5, -21, None, 6)
+    @example(3, 10, 7, -30, 4, None)
     def test_staircase_matches_filtered_scan(self, a, b, c, v, x_cap, yz_cap):
         got = solve3_general(a, b, c, v, x_cap=x_cap, yz_cap=yz_cap)
         assert got == scan3_reference(a, b, c, v, x_cap=x_cap, yz_cap=yz_cap)
@@ -222,18 +250,20 @@ class TestSlopesSolve:
 
 
 class TestSlopesCounters:
-    # (prefixes, residuals_direct, residuals_scan, candidates), pinned so
-    # that any change to the walk's pruning shows, each with the walk's
-    # figure before it pruned by found solutions as an upper bound, field by
-    # field.  "6 4 3 = 7" is solved mirrored; "7 3 = 5 4 2" and wider
-    # enumerate two or more unknowns.
+    # (prefixes, residuals_direct, residuals_scan, candidates,
+    # residual_steps), pinned so that any change to the walk's pruning or
+    # to the residual descent shows.  Each comes with an upper bound, field
+    # by field: the walk's figures before it pruned by found solutions, and
+    # the z values the congruence scan visited before the descent.  "6 4 3
+    # = 7" is solved mirrored; "7 3 = 5 4 2" and wider enumerate two or
+    # more unknowns.
     COUNTERS = {
-        "5 = 3 2": ((1, 1, 0, 3), (1, 1, 0, 3)),
-        "6 4 3 = 7": ((9, 1, 7, 10), (9, 1, 7, 10)),
-        "3 2 = 4 1": ((6, 1, 4, 11), (6, 1, 4, 11)),
-        "7 3 = 5 4 2": ((41, 2, 32, 66), (41, 2, 32, 66)),
-        "4 6 = 5 3 2 7": ((170, 4, 109, 132), (273, 8, 201, 192)),
-        "9 5 2 = 8 6 3": ((255, 6, 194, 169), (322, 7, 260, 212)),
+        "5 = 3 2": ((1, 1, 0, 3, 0), (1, 1, 0, 3, 0)),
+        "6 4 3 = 7": ((9, 1, 7, 10, 10), (9, 1, 7, 10, 22)),
+        "3 2 = 4 1": ((6, 1, 4, 11, 15), (6, 1, 4, 11, 15)),
+        "7 3 = 5 4 2": ((41, 2, 32, 66, 103), (41, 2, 32, 66, 129)),
+        "4 6 = 5 3 2 7": ((170, 4, 109, 132, 197), (273, 8, 201, 192, 337)),
+        "9 5 2 = 8 6 3": ((255, 6, 194, 169, 212), (322, 7, 260, 212, 1017)),
     }
 
     @pytest.mark.parametrize("text", list(COUNTERS))
@@ -246,15 +276,17 @@ class TestSlopesCounters:
             stats.residuals_direct,
             stats.residuals_scan,
             stats.candidates,
+            stats.residual_steps,
         )
-        pinned, unpruned = self.COUNTERS[text]
+        pinned, bound = self.COUNTERS[text]
         assert got == pinned
-        assert all(g <= u for g, u in zip(got, unpruned))
+        assert all(g <= u for g, u in zip(got, bound))
 
     def test_hard_case(self):
         # About 0.4 s, because the walk prunes above the balanced prefixes
         # it has met; without that prune it makes 311,973 prefixes and
-        # 478,260 candidates in about 3.3 s.
+        # 478,260 candidates in about 3.3 s.  The residual descent visits
+        # 193,040 z where the congruence scan visited 415,176.
         stats = SlopesStats()
         eq = parse_equation("39 20 7 = 39 30 11 3")
         basis = slopes_solve(eq, stats=stats)
@@ -265,16 +297,18 @@ class TestSlopesCounters:
             stats.residuals_direct,
             stats.residuals_scan,
             stats.candidates,
-        ) == (41307, 19, 32554, 50669)
+            stats.residual_steps,
+        ) == (41307, 19, 32554, 50669, 193040)
 
 
 class TestSlopesLimits:
     HARD = Equation((1021,), (1020, 1019, 1018))
 
-    # One enumerated unknown, so the walk makes few prefixes, each followed
-    # by a residual scan over a full period of c*z mod a (10 ms at a = 20011).
-    # At a near 2^20, building ``slopes3`` alone (524,285 descent triples,
-    # then their pareto_min) takes longer than the limit.
+    # One enumerated unknown, each of its values followed by a residual
+    # descent: the first equation makes 1,021 residuals and 87,724
+    # candidates in about 0.9 s, and the second runs for more than 5 s.  At
+    # a near 2^20, building ``slopes3`` alone (524,285 descent triples, then
+    # their pareto_min) takes longer than the limit.
     @pytest.mark.parametrize(
         "eq",
         [
@@ -291,7 +325,7 @@ class TestSlopesLimits:
         assert time.perf_counter() - start < 0.3 + 0.5
 
     def test_long_residual_scan_checks_the_deadline(self):
-        # One scan over a million z, 0.7 s without a deadline.
+        # One descent through 524,287 triples, 0.4 s without a deadline.
         start = time.perf_counter()
         with pytest.raises(TimeLimitError):
             solve3_general(1048573, 1048572, 1048571, -1, deadline=Deadline(0.05))
