@@ -68,4 +68,13 @@ from .acu import (
     verify_unifier,
 )
 
+# Algorithm name -> ``solve(eq, *, time_limit=...)``; ``lex_solve`` also
+# takes ``variant=``.
+SOLVERS = {
+    "lex": lex_solve,
+    "completion": completion_solve,
+    "graph": graph_solve,
+    "slopes": slopes_solve,
+}
+
 __all__ = [name for name in dir() if not name.startswith("_")]

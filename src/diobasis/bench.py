@@ -29,12 +29,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from . import __version__
-from .completion import completion_solve
-from .core import BasisList, DiobasisError, Equation, TimeLimitError
-from .graph import graph_solve
-from .lex import lex_solve
-from .slopes import slopes_solve
+from . import SOLVERS, __version__
+from .core import DiobasisError, Equation, TimeLimitError
 
 A_VALUES = (2, 3, 5, 13, 29, 39, 107, 503, 1021)
 
@@ -255,16 +251,6 @@ def score_class(
         else:
             pb += 1.0
     return ClassScore(pa, pb)
-
-
-# Algorithm name -> ``solve(eq, *, time_limit=...)``; ``lex_solve`` also
-# takes ``variant=``.
-SOLVERS: dict[str, Callable[..., BasisList]] = {
-    "lex": lex_solve,
-    "completion": completion_solve,
-    "graph": graph_solve,
-    "slopes": slopes_solve,
-}
 
 
 def make_internal_runner(name: str) -> Runner:

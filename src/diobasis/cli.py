@@ -8,18 +8,8 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import SOLVERS, __version__
 from .acu import basis_to_unifier, equation_to_problem, format_unifier, verify_unifier
-from .bench import (
-    SOLVERS,
-    TimingPolicy,
-    make_internal_runner,
-    make_subprocess_runner,
-    generate_class,
-    parse_class_spec,
-    render_reports,
-    run_benchmark,
-)
 from .core import (
     DEFAULT_ORACLE_CAP,
     DiobasisError,
@@ -184,6 +174,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .bench import generate_class, parse_class_spec
+
     classes = parse_class_spec(args.bench_class)
     for bc in classes:
         tests, _ = generate_class(bc, args.seed)
@@ -193,6 +185,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import (
+        TimingPolicy,
+        make_internal_runner,
+        make_subprocess_runner,
+        parse_class_spec,
+        render_reports,
+        run_benchmark,
+    )
+
     classes = parse_class_spec(args.classes)
     policy = TimingPolicy(
         runs=args.runs,

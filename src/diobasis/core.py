@@ -16,9 +16,10 @@ import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Solution = tuple[int, ...]
 # A basis is a list of pairwise-incomparable nonzero solutions.  A solver
@@ -275,7 +276,9 @@ def pareto_min(
     equal sums never dominate each other.  One vectorized pass tests a batch
     against a :class:`DominanceIndex` of the vectors kept so far, survivors
     of different sums within the batch are compared with each other, and the
-    rest join the index.  ``deadline`` is checked once per batch.
+    rest join the index.  ``deadline`` is checked once per batch.  Only
+    that path uses numpy, which it imports on its first call, so a process
+    whose calls stay at 512 vectors or fewer never loads it.
     """
     uniq = {tuple(v) for v in vectors}
     if len(uniq) > 512:
@@ -295,10 +298,11 @@ _SWEEP_ROWS = 128
 _TEST_CHUNK_BYTES = 1 << 23
 # Largest bitset index one pareto_min call may build.
 _INDEX_BYTES = 1 << 28
-_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 def _pareto_min_numpy(uniq: set[Solution], deadline: Deadline | None) -> BasisList:
+    import numpy as np
+
     n = len(next(iter(uniq)))
     # Each setup pass takes a fraction of a second at half a million vectors,
     # so the deadline is checked between them and between fill chunks.
@@ -355,6 +359,8 @@ def _pareto_min_numpy(uniq: set[Solution], deadline: Deadline | None) -> BasisLi
 
 def _pareto_min_rows(arr: np.ndarray, deadline: Deadline | None) -> np.ndarray:
     """Minimal rows of a sum-sorted, duplicate-free array, one row at a time."""
+    import numpy as np
+
     kept = np.empty_like(arr)
     count = 0
     for row, v in enumerate(arr):
@@ -368,6 +374,8 @@ def _pareto_min_rows(arr: np.ndarray, deadline: Deadline | None) -> np.ndarray:
 
 
 def _sorted_tuples(arr: np.ndarray) -> BasisList:
+    import numpy as np
+
     return [tuple(row) for row in arr[np.lexsort(arr.T[::-1])].tolist()]
 
 
@@ -379,16 +387,24 @@ class DominanceIndex:
     value v a bitset marks the indexed vectors whose k-th coordinate is at
     most v; ANDing the rows a candidate selects leaves exactly the indexed
     vectors that are dominated by or equal to it.
+
+    Building an index imports numpy, which the package loads on first use.
     """
 
     def __init__(self, n: int, size: int):
+        import numpy as np
+
         self.count = 0
         self.masks = np.zeros((n, size, 1), dtype=np.uint64)
+        # bit[j] has bit j alone set: the mask of vector id j within its word.
+        self.bit = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
     def add(self, rows: np.ndarray) -> None:
         """Index the vectors in ``rows`` (one per row), however few: set each
         new bit at its vector's own value, then rerun the cumulative OR along
         the value axis over the words the new bits land in."""
+        import numpy as np
+
         if not len(rows):
             return
         n, size, capacity = self.masks.shape
@@ -402,7 +418,7 @@ class DominanceIndex:
         np.bitwise_or.at(
             self.masks,
             (np.arange(n), rows, (ids >> 6)[:, None]),
-            _BIT[ids & 63, None],
+            self.bit[ids & 63, None],
         )
         touched = self.masks[:, :, first:stop]
         np.bitwise_or.accumulate(touched, axis=1, out=touched)
@@ -410,6 +426,8 @@ class DominanceIndex:
 
     def any_dominator(self, cands: np.ndarray) -> np.ndarray:
         """Per candidate row: is some indexed vector dominated by or equal to it?"""
+        import numpy as np
+
         if not self.count or not len(cands):
             return np.zeros(len(cands), dtype=bool)
         words = (self.count + 63) >> 6

@@ -25,7 +25,9 @@ tuple of label counts carried with its defect as an int, so a deep search of
 thin levels costs per walk, not per level.  Every other level is expanded in
 vectorized passes over an int32 array of walks, whose successor nodes come
 from the materialized adjacency table.  Both paths apply the same scan rule
-to the same seeds, ``completion.initial_proposals``.
+to the same seeds, ``completion.initial_proposals``.  The adjacency table and
+the bitset index are built on the first wide level, so a search of narrow
+levels alone runs without numpy.
 
 A narrow level tests each child as it is made.  The child c = x + e_i
 extends a walk x that survived the prune one level earlier, so a found
@@ -36,8 +38,10 @@ of fixed cost (about 25 us) by a few tuple comparisons.  A wide level tests
 its children with one batched call to the ``DominanceIndex``.  Past the cap,
 buckets hold too many solutions to scan per child, and every emission of a
 wide level would pay n bucket appends, so the search drops them and expands
-every later level in vectorized passes, however narrow.  Emissions go to
-the ``DominanceIndex`` as each level ends, on either path.
+every later level in vectorized passes, however narrow.  Once built, the
+``DominanceIndex`` takes every solution found before it, in the order they
+were found, and then each level's emissions as the level ends, on either
+path.
 
 The scan rule makes duplicate walks impossible, and emissions within a
 level share a coordinate sum, so they never dominate each other or an
@@ -51,9 +55,7 @@ bucket verdict that the bitset index contradicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import (
     BasisList,
@@ -68,6 +70,9 @@ from .core import (
     solve_normalized,
 )
 from .completion import Walk, completion_step, initial_proposals
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_FRONTIER_CAP = 2**26
 # Levels of at most this many walks are expanded walk by walk as tuples;
@@ -85,6 +90,8 @@ class DefectGraph:
     """Labelled digraph over defect values with lookup-table adjacency."""
 
     def __init__(self, w: WeightVector):
+        import numpy as np
+
         self.w = w
         self.node_lo = -w.max_b
         self.node_hi = w.max_a
@@ -150,47 +157,72 @@ class _Search:
     A level is expanded by ``narrow_level`` on a list of walk tuples, with
     ``completion_step`` and the bucket test, or by ``wide_level`` on an int32
     array of label counts with the walks' node indices and the bitset test;
-    both apply the same scan rule.  With ``check`` both also raise
+    both apply the same scan rule.  The ndarray side (``table``,
+    ``zero_idx``, ``label_arrays``, ``positive`` and ``index``) is built by
+    ``build_arrays`` on the first wide level.  With ``check`` it is built at
+    the start, since the audits read the bitset, and both paths also raise
     ``AssertionError`` on a broken invariant (module docstring).
     """
 
-    def __init__(
-        self, w: WeightVector, graph: DefectGraph, stats: GraphStats, check: bool
-    ):
+    def __init__(self, w: WeightVector, stats: GraphStats, check: bool):
         self.w = w
-        self.table = graph.target
-        self.zero_idx = graph.zero_index
         self.stats = stats
         self.check = check
-        self.label_arrays = [np.array(order, dtype=np.int64) for order in w.scan_orders]
-        self.positive = np.array(w.w) > 0
         self.solutions: list[Solution] = []
-        # A child's side sums stay within the per-side caps (module
-        # docstring), so every coordinate is at most max(max_a, max_b).
-        self.index = DominanceIndex(len(w), max(w.max_a, w.max_b) + 1)
         # Dropped once the search has found over BUCKET_SOLUTIONS solutions;
         # every later level is then wide.
         self.buckets: DominanceBuckets | None = DominanceBuckets(len(w))
+        self.index: DominanceIndex | None = None
+        if check:
+            self.build_arrays()
+
+    def build_arrays(self) -> None:
+        """Build the ndarray side.  The index takes every solution found so
+        far in one insert, in the order they were found, so each keeps the
+        bit id it would have had in an index built at the start."""
+        import numpy as np
+
+        w = self.w
+        graph = build_defect_graph(w)
+        self.table = graph.target
+        self.zero_idx = graph.zero_index
+        self.label_arrays = [np.array(order, dtype=np.int64) for order in w.scan_orders]
+        self.positive = np.array(w.w) > 0
+        # A child's side sums stay within the per-side caps (module
+        # docstring), so every coordinate is at most max(max_a, max_b).
+        self.index = DominanceIndex(len(w), max(w.max_a, w.max_b) + 1)
+        if self.solutions:
+            self.index.add(np.array(self.solutions, dtype=np.int32))
 
     def to_walks(self, rows: np.ndarray, nodes: np.ndarray) -> list[Walk]:
         return list(zip(map(tuple, rows.tolist()), (nodes - self.zero_idx).tolist()))
 
     def to_rows(self, walks: list[Walk]) -> tuple[np.ndarray, np.ndarray]:
+        """The walks as a wide level: int32 label counts and node indices."""
+        import numpy as np
+
+        if self.index is None:
+            self.build_arrays()
         nodes = np.array([walk[1] for walk in walks]) + self.zero_idx
         return np.array([walk[0] for walk in walks], dtype=np.int32), nodes
 
-    def emit(self, new: list[Solution], rows: np.ndarray) -> None:
-        """Record a level's emissions, given as tuples and as the same int32
-        rows, and index them."""
-        if self.check:
-            self.audit_caps(rows)
-            if len(set(new)) < len(new):
-                raise AssertionError("duplicate emission; scan rule violated")
-            if self.index.any_dominator(rows).any():
-                raise AssertionError("emission bounded by an earlier solution")
+    def emit(self, new: list[Solution], rows: np.ndarray | None = None) -> None:
+        """Record a level's emissions, given as tuples and, from a wide level,
+        as the same int32 rows, and index them once the index is built."""
+        if self.index is not None:
+            if rows is None:
+                import numpy as np
+
+                rows = np.array(new, dtype=np.int32)
+            if self.check:
+                self.audit_caps(rows)
+                if len(set(new)) < len(new):
+                    raise AssertionError("duplicate emission; scan rule violated")
+                if self.index.any_dominator(rows).any():
+                    raise AssertionError("emission bounded by an earlier solution")
+            self.index.add(rows)
         self.stats.insert.inserted += len(new)
         self.solutions.extend(new)
-        self.index.add(rows)
         if self.buckets is not None:
             if len(self.solutions) > BUCKET_SOLUTIONS:
                 self.buckets = None
@@ -211,6 +243,8 @@ class _Search:
     def audited_bounds(self, child: Solution, i: int) -> bool:
         """The bucket test on ``child``, checked against the side-sum caps
         and the bitset index."""
+        import numpy as np
+
         row = np.array([child], dtype=np.int32)
         self.audit_caps(row)
         hit = self.buckets.bounds(child, i)
@@ -230,13 +264,15 @@ class _Search:
         if self.check and len(set(proposals)) < len(proposals):
             raise AssertionError("duplicate walk; scan rule violated")
         if emitted:
-            self.emit(emitted, np.array(emitted, dtype=np.int32))
+            self.emit(emitted)
         return proposals
 
     def wide_level(
         self, frontier: np.ndarray, nodes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Expand a level in vectorized passes; returns the next level."""
+        import numpy as np
+
         zero_idx = self.zero_idx
         chunks = []
         chunk_nodes = []
@@ -316,8 +352,7 @@ def _solve(
     deadline: Deadline | None,
     check_invariants: bool,
 ) -> BasisList:
-    graph = build_defect_graph(w)
-    search = _Search(w, graph, stats, check_invariants)
+    search = _Search(w, stats, check_invariants)
 
     # One-sided seeding, as in the completion procedure.
     walks = initial_proposals(w)

@@ -1,10 +1,16 @@
 """Command-line surface: dispatch, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from diobasis.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -176,3 +182,48 @@ class TestBenchCommand:
         assert code == 0
         meta = json.loads((out_dir / "metadata.json").read_text())
         assert meta["timing_mode"] == "internal-vs-subprocess"
+
+
+def fresh_cli(*argv):
+    """Run ``python -m diobasis.cli`` in a fresh interpreter with ``src``
+    first on PYTHONPATH, and return its standard output and the names of
+    the modules it imported.  ``-X importtime`` logs every import on standard
+    error, so a module is missing from the names exactly when it never
+    entered ``sys.modules``."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "diobasis.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.stdout, names
+
+
+class TestColdStart:
+    """A command imports numpy, and the bench harness, only when it needs
+    them."""
+
+    def test_small_commands_run_without_numpy(self):
+        out, names = fresh_cli("solve", "--no-timing", "2 1 = 1")
+        assert out == "0 1 1\n1 0 2\nbasis size: 2\n"
+        assert "numpy" not in names
+        assert "diobasis.bench" not in names
+        for argv in (
+            ("verify", "3 5 = 7 2"),
+            ("unify", "3 5 = 7 2"),
+            ("gen", "--class", "1,2,3"),
+        ):
+            _, names = fresh_cli(*argv)
+            assert "numpy" not in names, argv
+
+    def test_a_wide_graph_level_imports_numpy(self):
+        # Its widest level holds 586 walks.
+        out, names = fresh_cli("solve", "--no-timing", "104 167 = 165 154 148")
+        assert out.endswith("basis size: 410\n")
+        assert "numpy" in names

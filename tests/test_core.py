@@ -353,7 +353,7 @@ class TestParetoMin:
         def unique(*args, **kwargs):
             pytest.fail("pareto_min ranked its columns past an expired deadline")
 
-        monkeypatch.setattr(core.np, "unique", unique)
+        monkeypatch.setattr(np, "unique", unique)
         vecs = [(i, 600 - i) for i in range(600)]
         with pytest.raises(TimeLimitError):
             pareto_min(vecs, deadline=ExpiredDeadline())

@@ -1,5 +1,6 @@
 """Defect digraph construction and the graph solver."""
 
+import itertools
 import random
 
 import pytest
@@ -174,21 +175,24 @@ PINNED_COUNTERS = [
 ]
 
 
+def pinned_fields(stats):
+    return (
+        stats.levels,
+        stats.walks_expanded,
+        stats.children,
+        stats.pruned_dominated,
+        stats.max_frontier,
+        stats.insert.inserted,
+    )
+
+
 class TestSearchCounters:
     @pytest.mark.parametrize("text, expected", PINNED_COUNTERS)
     def test_counters_are_pinned(self, monkeypatch, text, expected):
         for path in level_paths(monkeypatch):
             stats = GraphStats()
             basis = graph_solve(parse_equation(text), stats=stats)
-            got = (
-                stats.levels,
-                stats.walks_expanded,
-                stats.children,
-                stats.pruned_dominated,
-                stats.max_frontier,
-                stats.insert.inserted,
-            )
-            assert got == expected, path
+            assert pinned_fields(stats) == expected, path
             assert len(basis) == stats.insert.inserted
 
     def test_deep_search_is_pinned(self):
@@ -202,6 +206,70 @@ class TestSearchCounters:
             65_534,
         )
         assert len(basis) == 3
+
+
+@pytest.fixture
+def events(monkeypatch):
+    """Log of one search's ndarray-side builds and level expansions, in
+    order: "build" per call of ``graph.build_defect_graph``, looked up by
+    its module-global name, and "narrow" or "wide" per level."""
+    log = []
+    build = graph.build_defect_graph
+    narrow, wide = graph._Search.narrow_level, graph._Search.wide_level
+
+    def counted_build(w):
+        log.append("build")
+        return build(w)
+
+    def counted_narrow(self, walks):
+        log.append("narrow")
+        return narrow(self, walks)
+
+    def counted_wide(self, frontier, nodes):
+        log.append("wide")
+        return wide(self, frontier, nodes)
+
+    monkeypatch.setattr(graph, "build_defect_graph", counted_build)
+    monkeypatch.setattr(graph._Search, "narrow_level", counted_narrow)
+    monkeypatch.setattr(graph._Search, "wide_level", counted_wide)
+    return log
+
+
+class TestArraySide:
+    """The adjacency table and the bitset index are built on the first wide
+    level, or at the start under ``check_invariants``."""
+
+    def test_narrow_search_builds_nothing(self, events):
+        stats = GraphStats()
+        basis = graph_solve(parse_equation("335 = 473 1021"), stats=stats)
+        assert (stats.max_frontier, len(basis)) == (31, 7)
+        assert set(events) == {"narrow"}
+
+    @pytest.mark.parametrize("text, expected", PINNED_COUNTERS)
+    def test_built_once_before_the_first_wide_level(
+        self, monkeypatch, events, text, expected
+    ):
+        shapes = set()
+        for path in level_paths(monkeypatch):
+            events.clear()
+            stats = GraphStats()
+            graph_solve(parse_equation(text), stats=stats)
+            assert pinned_fields(stats) == expected, path
+            if "wide" in events:
+                assert events.count("build") == 1, path
+                assert events.index("build") + 1 == events.index("wide"), path
+            else:
+                assert "build" not in events, path
+            shapes.add(tuple(kind for kind, _ in itertools.groupby(events)))
+        if text == "104 167 = 165 154 148":
+            # With the buckets kept for the whole search, the frontier
+            # narrows again after its wide levels.
+            assert ("narrow", "build", "wide", "narrow") in shapes
+
+    def test_check_invariants_builds_at_the_start(self, events):
+        graph_solve(parse_equation("335 = 473 1021"), check_invariants=True)
+        assert events[0] == "build"
+        assert set(events[1:]) == {"narrow"}
 
 
 sides = st.lists(st.integers(1, 12), min_size=1, max_size=3)
