@@ -106,6 +106,7 @@ def _read_equation(args: argparse.Namespace) -> Equation:
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.dump_slopes3:
         a, b, c = args.dump_slopes3
+        parse_equation(f"{a} = {b} {c}")  # the equation path's checks and messages
         print(format_basis(slopes3(a, b, c)))
         return 0
     eq = _read_equation(args)

@@ -4,23 +4,19 @@ enumerates with the lex solver's budgeted walk (``lex.prefix_walk``, per-side
 running-sum caps, envelope pruning, and pruning above the balanced prefixes
 it has met), with x, y and z as its tail.
 
-The three-unknown solver walks the staircase of minimal (y, z) points
-directly: gcd arithmetic yields the extreme solutions and the first interior
-point, and a Euclidean update of the slope deltas (dy, dz) generates the
-rest with z strictly increasing.  Only the seeds are dominance-filtered,
-which absorbs the degenerate seed cases.
-
-Residuals a*x = b*y + c*z + v with v != 0 appear once the wrapper
-enumerates the other unknowns.  ``solve3_general`` walks each one's
-staircase too (Filgueiras & Tomas, J. Symbolic Computation 1995): the
-smallest admissible y solves b*y = -v - c*z (mod a), only every t-th z is
-solvable, and from one solvable z to the next y's residue falls by a fixed
-d.  The minimal solutions are the records, the triples whose y undercuts
-every earlier one.  While x >= 0 forces y above its residue (v < 0, small
-z) the solver scans; after that it jumps from record to record, using the
-record minima of k*d mod a/gcd(a, b), which a Euclidean update lists once
-per (a, b, c).  Its work follows the staircase it returns, not the period
-of c*z mod a, and it needs no Pareto filtering.
+One descent solves every three-unknown problem a*x = b*y + c*z + v:
+``slopes3`` is its v = 0 case, computed once per solve, and the residuals
+with v != 0 appear once the wrapper enumerates the other unknowns.
+``solve3_general`` walks the staircase of minimal solutions (Filgueiras &
+Tomas, J. Symbolic Computation 1995): the smallest admissible y solves
+b*y = -v - c*z (mod a), only every t-th z is solvable, and from one
+solvable z to the next y's residue falls by a fixed d.  The minimal
+solutions are the records, the triples whose y undercuts every earlier
+one.  While x >= 0 forces y above its residue (v < 0, small z) the solver
+scans; after that it jumps from record to record, using the record minima
+of k*d mod a/gcd(a, b), which a Euclidean update lists once per (a, b, c).
+Its work follows the staircase it returns, not the period of c*z mod a,
+and it needs no Pareto filtering.
 """
 
 from __future__ import annotations
@@ -42,91 +38,6 @@ from .core import (
 )
 from .lex import DEFAULT_VARIANT, LexStats, prefix_walk
 from .lex import _solve as _lex_solve
-
-
-def multiplier(a: int, b: int) -> int:
-    """Bezout coefficient of the first argument: m with m*a + k*b = gcd(a, b)."""
-    _, ma, _ = ext_gcd(a, b)
-    return ma
-
-
-@dataclass(frozen=True)
-class SlopesSetup:
-    """Derived quantities the three-unknown generation starts from."""
-
-    gb: int  # gcd(a, b)
-    gc: int  # gcd(a, c)
-    g_all: int  # gcd(a, b, c)
-    ymax: int
-    zmax: int
-    dy: int
-    dz: int
-
-
-def slopes3_setup(a: int, b: int, c: int) -> SlopesSetup:
-    gb = math.gcd(a, b)
-    gc = math.gcd(a, c)
-    g_all = math.gcd(gb, c)
-    ymax = a // gb
-    zmax = a // gc
-    dz = gb // g_all
-    dy = (c // g_all * multiplier(b, a)) % ymax
-    return SlopesSetup(gb, gc, g_all, ymax, zmax, dy, dz)
-
-
-def _exact_x(numerator: int, a: int) -> int:
-    q, r = divmod(numerator, a)
-    assert r == 0, f"slope point off the congruence lattice: {numerator} not divisible by {a}"
-    return q
-
-
-def slopes3_generation(
-    a: int, b: int, c: int, deadline: Deadline | None = None
-) -> tuple[list[Solution], list[Solution]]:
-    """Raw output of the descent: (seed triples, descent triples in order).
-
-    Descent triples come out with z strictly increasing and y strictly
-    decreasing; the seeds carry the two axis extremes and the first interior
-    point.  No minimality filtering happens here.
-    """
-    s = slopes3_setup(a, b, c)
-    y = s.ymax - s.dy
-    z = s.dz
-    seeds = [
-        (b // s.gb, s.ymax, 0),
-        (c // s.gc, 0, s.zmax),
-        (_exact_x(b * y + c * z, a), y, z),
-    ]
-    descent: list[Solution] = []
-    dy, dz = s.dy, s.dz
-    while dy > 0:
-        while y > dy:
-            y -= dy
-            z += dz
-            descent.append((_exact_x(b * y + c * z, a), y, z))
-            if deadline is not None and len(descent) % 4096 == 0:
-                deadline.check()
-        f = dy // y
-        dy -= f * y
-        dz += f * z
-    return seeds, descent
-
-
-def slopes3(a: int, b: int, c: int, deadline: Deadline | None = None) -> BasisList:
-    """Minimal natural solutions of a*x = b*y + c*z, sorted.
-
-    The descent walks the staircase of minimal solutions, so it is an
-    antichain (z strictly up, y strictly down) and only the at most three
-    seeds need filtering.  No descent triple bounds a seed: the seeds
-    (b/gb, ymax, 0) and (c/gc, 0, zmax) each have a zero coordinate that no
-    descent triple has, and the interior seed's z = dz is below every
-    descent z.  So the basis is the seeds that no other seed bounds, plus
-    the descent.
-    """
-    if min(a, b, c) < 1:
-        raise ValueError("coefficients must be >= 1")
-    seeds, descent = slopes3_generation(a, b, c, deadline)
-    return sorted(pareto_min(seeds) + descent)
 
 
 def _record_blocks(m: int, d: int) -> tuple[tuple[int, int, int, int, int], ...]:
@@ -229,8 +140,8 @@ def solve3_general(
     Beyond one full period of c*z mod a (shifted while x would go negative
     for v < 0), every triple is dominated by its counterpart one period
     earlier, so z stops there.  With v = 0 the first triple (z = 0, residue
-    0) takes y = step, which skips the all-zero vector; the output then
-    reproduces ``slopes3``.
+    0) takes y = step, which skips the all-zero vector; that case is
+    ``slopes3``.
 
     Optional caps restrict x and y+z, e.g. to the per-side budgets of an
     enclosing equation.  A triple that fails a cap still counts as a
@@ -303,6 +214,13 @@ def solve3_general(
     staircase.sort()
     staircase.steps = steps
     return staircase
+
+
+def slopes3(a: int, b: int, c: int, deadline: Deadline | None = None) -> BasisList:
+    """Minimal natural solutions of a*x = b*y + c*z, sorted: the residual
+    descent ``solve3_general`` at v = 0, which skips the all-zero vector.
+    The deadline is checked every 4096 z visited."""
+    return solve3_general(a, b, c, 0, deadline=deadline)
 
 
 @dataclass

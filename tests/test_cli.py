@@ -75,6 +75,19 @@ class TestSolve:
         assert code == 0
         assert out == "1 1 1\n2 0 5\n3 5 0\n"
 
+    @pytest.mark.parametrize(
+        "a,message",
+        [("0", "coefficient must be >= 1"), ("1048577", "over limit 1048576")],
+        ids=["zero", "over_limit"],
+    )
+    def test_dump_slopes3_rejects_out_of_range_coefficients(self, capsys, a, message):
+        # The same checks, messages and exit code as an equation's text.
+        code, out, err = run_cli(capsys, "solve", "--dump-slopes3", a, "3", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: token 1: ") and message in err
+        assert "Traceback" not in err
+
     def test_emit_graph(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
         code, _, _ = run_cli(

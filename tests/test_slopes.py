@@ -22,10 +22,7 @@ from diobasis.graph import graph_solve
 from diobasis.slopes import (
     SlopesStats,
     _record_blocks,
-    multiplier,
     slopes3,
-    slopes3_generation,
-    slopes3_setup,
     slopes_solve,
     solve3_general,
 )
@@ -78,56 +75,38 @@ def scan3_reference(a, b, c, v, x_cap=None, yz_cap=None):
     return pareto_min(candidates)
 
 
-def slopes3_reference(a, b, c):
-    """Seeds and descent filtered together: what ``slopes3``, which filters
-    only the seeds, must reproduce."""
-    seeds, descent = slopes3_generation(a, b, c)
-    return pareto_min(seeds + descent)
-
-
-class TestMultiplier:
-    @pytest.mark.parametrize("a,b", [(3, 5), (104, 167), (6, 4), (1, 1)])
-    def test_coefficient_of_first_argument(self, a, b):
-        m = multiplier(a, b)
-        g = math.gcd(a, b)
-        assert (g - m * a) % b == 0
-
-
 class TestSlopes3:
     def test_five_three_two(self):
         assert slopes3(5, 3, 2) == [(1, 1, 1), (2, 0, 5), (3, 5, 0)]
 
     def test_all_ones(self):
-        # The raw generation also produces (2, 1, 1), which the dominance
-        # filter removes.
+        # (2, 1, 1) solves it too but is bounded by both.
         assert slopes3(1, 1, 1) == [(1, 0, 1), (1, 1, 0)]
 
     def test_first_seed_always_present(self):
         for a in range(1, 12):
             for b in range(1, 12):
                 gb = math.gcd(a, b)
-                seeds, _ = slopes3_generation(a, b, 7)
-                assert seeds[0] == (b // gb, a // gb, 0)
+                assert (b // gb, a // gb, 0) in slopes3(a, b, 7)
 
     def test_descent_order_and_exactness(self):
         rng = random.Random(8)
         for _ in range(200):
             a, b, c = (rng.randint(1, 30) for _ in range(3))
-            seeds, descent = slopes3_generation(a, b, c)
-            for x, y, z in seeds + descent:
+            basis = slopes3(a, b, c)
+            for x, y, z in basis:
                 assert a * x == b * y + c * z
-            zs = [z for _, _, z in descent]
-            ys = [y for _, y, _ in descent]
-            assert zs == sorted(zs) and len(set(zs)) == len(zs)
-            assert ys == sorted(ys, reverse=True) and len(set(ys)) == len(ys)
+            # A staircase: ordered by z, z strictly rises and y strictly falls.
+            steps = sorted((z, y) for _, y, z in basis)
+            assert all(z0 < z1 and y0 > y1 for (z0, y0), (z1, y1) in zip(steps, steps[1:]))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 300), st.integers(1, 300), st.integers(1, 300))
     @example(1, 1, 1)
     @example(1021, 1020, 1019)
     @example(20011, 20010, 20009)
-    def test_matches_filtering_seeds_and_descent_together(self, a, b, c):
-        assert slopes3(a, b, c) == slopes3_reference(a, b, c)
+    def test_matches_filtered_scan(self, a, b, c):
+        assert slopes3(a, b, c) == scan3_reference(a, b, c, 0)
 
     def test_pairwise_incomparable(self):
         for a, b, c in [(12, 8, 9), (7, 7, 7), (20, 3, 17)]:
@@ -307,8 +286,9 @@ class TestSlopesLimits:
     # One enumerated unknown, each of its values followed by a residual
     # descent: the first equation makes 1,021 residuals and 87,724
     # candidates in about 0.9 s, and the second runs for more than 5 s.  At
-    # a near 2^20, building ``slopes3`` alone (524,285 descent triples, then
-    # their pareto_min) takes longer than the limit.
+    # a near 2^20 the v = 0 staircase (``slopes3``, 174,765 triples) and each
+    # residual staircase after it are long descents, so the limit falls
+    # inside one and is caught by its every-4096-steps deadline check.
     @pytest.mark.parametrize(
         "eq",
         [
@@ -334,11 +314,3 @@ class TestSlopesLimits:
     @pytest.mark.slow
     def test_hard_case_finishes_within_its_limit(self):
         assert len(slopes_solve(self.HARD, time_limit=60)) == 87384
-
-
-class TestSlopesSetup:
-    def test_setup_quantities(self):
-        s = slopes3_setup(5, 3, 2)
-        assert (s.gb, s.gc, s.g_all) == (1, 1, 1)
-        assert (s.ymax, s.zmax) == (5, 5)
-        assert (s.dy, s.dz) == (4, 1)
