@@ -89,10 +89,10 @@ def parse_class_spec(spec: str) -> list[BenchClass]:
         part = part.strip()
         if not part:
             continue
-        pieces = part.split(",")
-        if len(pieces) != 3:
-            raise ValueError(f"class spec {part!r} is not N,M,A")
-        n, m, a = (int(p) for p in pieces)
+        try:
+            n, m, a = (int(p) for p in part.split(","))
+        except ValueError:
+            raise ValueError(f"class spec {part!r} is not N,M,A") from None
         out.append(BenchClass(n, m, a))
     if not out:
         raise ValueError("empty class spec")

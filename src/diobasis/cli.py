@@ -25,6 +25,21 @@ from .lex import BoundKind, LexVariant, TailKind
 from .slopes import slopes3
 
 
+def _class_spec(text: str) -> list:
+    from .bench import parse_class_spec
+
+    try:
+        return parse_class_spec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diobasis",
@@ -65,11 +80,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="skip the oracle when the search box exceeds this many vectors")
 
     gen = sub.add_parser("gen", help="emit the 10 seeded tests of a benchmark class")
-    gen.add_argument("--class", dest="bench_class", required=True, metavar="N,M,A")
+    gen.add_argument("--class", dest="bench_class", required=True, metavar="N,M,A",
+                     type=_class_spec)
     gen.add_argument("--seed", type=int, default=0)
 
     bench = sub.add_parser("bench", help="compare two algorithms over a class grid")
-    bench.add_argument("--classes", default="all", metavar="all|N,M,A[;...]")
+    bench.add_argument("--classes", default="all", metavar="all|N,M,A[;...]",
+                       type=_class_spec)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--epsilon", type=float, default=0.01,
                        help="tie threshold in seconds for the epsilon table")
@@ -79,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--exec", dest="exec_path", metavar="PATH",
                        help="external solver executable standing in for algorithm B; "
                             "reads one equation on stdin, prints basis lines")
-    bench.add_argument("--runs", type=int, default=5)
+    bench.add_argument("--runs", type=_positive_int, default=5)
     bench.add_argument("--early-stop", type=float, default=15.0, metavar="S")
     bench.add_argument("--timeout", type=float, default=600.0, metavar="S")
     bench.add_argument("--quiet", action="store_true")
@@ -175,10 +192,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    from .bench import generate_class, parse_class_spec
+    from .bench import generate_class
 
-    classes = parse_class_spec(args.bench_class)
-    for bc in classes:
+    for bc in args.bench_class:
         tests, _ = generate_class(bc, args.seed)
         for eq in tests:
             print(eq.text())
@@ -190,12 +206,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         TimingPolicy,
         make_internal_runner,
         make_subprocess_runner,
-        parse_class_spec,
         render_reports,
         run_benchmark,
     )
 
-    classes = parse_class_spec(args.classes)
     policy = TimingPolicy(
         runs=args.runs,
         early_stop_s=args.early_stop,
@@ -211,7 +225,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         name_b, mode = args.algo_b, "internal"
     progress = None if args.quiet else (lambda line: print(line, file=sys.stderr))
     report = run_benchmark(
-        classes, args.seed, policy, runner_a, runner_b,
+        args.classes, args.seed, policy, runner_a, runner_b,
         name_a=args.algo_a, name_b=name_b, mode=mode, progress=progress,
     )
     written = render_reports(report, args.out)

@@ -1,13 +1,14 @@
 """Slopes algorithm: direct minimal solutions of a*x = b*y + c*z, plus the
 all-but-three enumeration wrapper for wider equations.  The wrapper
-enumerates with the lex solver's budgeted walk (``lex.prefix_walk``, per-side
-running-sum caps, envelope pruning, and pruning above the balanced prefixes
-it has met), with x, y and z as its tail.
+enumerates with the lex solver's budgeted walk (``lex.prefix_walk``, which
+prunes above the balanced prefixes it has met), with x, y and z as its
+tail.  Each leaf makes one ``solve3_general`` call within its per-side
+budgets, except at a nonzero prefix that balances: with its tail all-zero
+that prefix bounds every solution extending it, so it is the leaf's one
+candidate.
 
-One descent solves every three-unknown problem a*x = b*y + c*z + v:
-``slopes3`` is its v = 0 case, computed once per solve, and the residuals
-with v != 0 appear once the wrapper enumerates the other unknowns.
-``solve3_general`` walks the staircase of minimal solutions (Filgueiras &
+``solve3_general`` solves a*x = b*y + c*z + v, and ``slopes3`` is its
+v = 0 case.  It walks the staircase of minimal solutions (Filgueiras &
 Tomas, J. Symbolic Computation 1995): the smallest admissible y solves
 b*y = -v - c*z (mod a), only every t-th z is solvable, and from one
 solvable z to the next y's residue falls by a fixed d.  The minimal
@@ -92,13 +93,6 @@ def _residual_setup(a: int, b: int, c: int) -> tuple:
     return g, step, inv, h, t, c_inv, d, period, _record_blocks(step, d)
 
 
-class Staircase(list):
-    """The sorted minimal solutions of one residual, with ``steps``: the z
-    values its solve visited, scan steps and descent landings."""
-
-    __slots__ = ("steps",)
-
-
 def solve3_general(
     a: int,
     b: int,
@@ -108,7 +102,8 @@ def solve3_general(
     x_cap: int | None = None,
     yz_cap: int | None = None,
     deadline: Deadline | None = None,
-) -> Staircase:
+    stats: SlopesStats | None = None,
+) -> BasisList:
     """Minimal natural solutions of a*x = b*y + c*z + v, by descent.
 
     For fixed z, the y with a*x = b*y + c*z + v for some integer x form one
@@ -148,13 +143,13 @@ def solve3_general(
     record: each later triple it would have dominated has a larger z and
     no smaller y, so a larger x and y+z, and fails the same cap.  So the
     records within the caps are the minimal solutions within the caps.
-    The deadline is checked every 4096 z visited.
+    The deadline is checked every 4096 z visited; ``stats.residual_steps``
+    gains the z values visited, scan steps and descent landings.
     """
     if min(a, b, c) < 1:
         raise ValueError("coefficients must be >= 1")
     g, step, inv, h, t, c_inv, d, period, blocks = _residual_setup(a, b, c)
-    staircase = Staircase()
-    staircase.steps = 0
+    staircase: BasisList = []
     if v % h:
         return staircase  # no z is solvable
     z_top = period + (-(v // c) if v < 0 else 0)
@@ -212,14 +207,14 @@ def solve3_general(
             if deadline is not None and not steps & 4095:
                 deadline.check()
     staircase.sort()
-    staircase.steps = steps
+    if stats is not None:
+        stats.residual_steps += steps
     return staircase
 
 
 def slopes3(a: int, b: int, c: int, deadline: Deadline | None = None) -> BasisList:
     """Minimal natural solutions of a*x = b*y + c*z, sorted: the residual
-    descent ``solve3_general`` at v = 0, which skips the all-zero vector.
-    The deadline is checked every 4096 z visited."""
+    descent ``solve3_general`` at v = 0, which skips the all-zero vector."""
     return solve3_general(a, b, c, 0, deadline=deadline)
 
 
@@ -228,10 +223,11 @@ class SlopesStats:
     """Counters of one slopes solve.
 
     ``prefixes`` counts the walk's prefixes and ``candidates`` the vectors
-    handed to the final filter.  ``residuals_direct`` counts residuals with
-    v = 0, answered from ``slopes3``; ``residuals_scan`` counts residuals
-    with v != 0, each solved by ``solve3_general``, and ``residual_steps``
-    the z values those solves visited (scan steps plus descent landings).
+    handed to the final filter.  ``residuals_direct`` counts the balanced
+    prefixes (v = 0), of which only the all-zero one calls ``solve3_general``;
+    ``residuals_scan`` counts residuals with v != 0, each solved by
+    ``solve3_general``, and ``residual_steps`` the z values those solves
+    visited (scan steps plus descent landings).
     """
 
     prefixes: int = 0
@@ -272,54 +268,37 @@ def _solve(w: WeightVector, stats: SlopesStats, deadline: Deadline | None) -> Ba
     # two negative positions play y and z.
     x_pos = max(w.positive_positions, key=lambda i: weights[i])
     y_pos, z_pos = w.negative_positions[-2], w.negative_positions[-1]
-    a = weights[x_pos]
-    b = -weights[y_pos]
-    c = -weights[z_pos]
-    enum_positions = [i for i in range(n) if i not in (x_pos, y_pos, z_pos)]
+    a, b, c = weights[x_pos], -weights[y_pos], -weights[z_pos]
+    xyz = [x_pos, y_pos, z_pos]
+    order = [i for i in range(n) if i not in xyz] + xyz
 
-    direct_cache = slopes3(a, b, c, deadline)
     candidates: list[Solution] = []
     assigned = [0] * n
 
     def solve_tail(d: int, pos_budget: int, neg_budget: int) -> None:
         if deadline is not None:
             deadline.check()
-        v = -d
-        if v == 0:
+        if d:
+            stats.residuals_scan += 1
+        else:
             stats.residuals_direct += 1
             if any(assigned):
-                # The prefix already balances on its own; the tail may stay
-                # all-zero, which the three-unknown solver never emits.
+                # The prefix balances on its own: with the tail all-zero it
+                # bounds every solution that extends it.
                 candidates.append(tuple(assigned))
                 stats.candidates += 1
-            triples = [
-                t
-                for t in direct_cache
-                if t[0] <= pos_budget and t[1] + t[2] <= neg_budget
-            ]
-        else:
-            stats.residuals_scan += 1
-            triples = solve3_general(
-                a, b, c, v, x_cap=pos_budget, yz_cap=neg_budget, deadline=deadline
-            )
-            stats.residual_steps += triples.steps
-        for x, y, z in triples:
+                return
+        triples = solve3_general(
+            a, b, c, -d, x_cap=pos_budget, yz_cap=neg_budget, deadline=deadline,
+            stats=stats if d else None,  # residual_steps counts v != 0 solves
+        )
+        for triple in triples:
             full = list(assigned)
-            full[x_pos] = x
-            full[y_pos] = y
-            full[z_pos] = z
+            full[x_pos], full[y_pos], full[z_pos] = triple
             candidates.append(tuple(full))
         stats.candidates += len(triples)
 
     # With (x, y, z) last in the order, the walk's suffix envelopes at the
     # tail are a and max(b, c).
-    prefix_walk(
-        w,
-        enum_positions + [x_pos, y_pos, z_pos],
-        3,
-        solve_tail,
-        assigned,
-        stats=stats,
-        deadline=deadline,
-    )
+    prefix_walk(w, order, 3, solve_tail, assigned, stats=stats, deadline=deadline)
     return pareto_min(candidates, deadline)

@@ -136,6 +136,29 @@ class TestGen:
         assert first == second
 
 
+class TestMalformedOptions:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("gen", "--class", "1,2,x"), "argument --class: class spec '1,2,x' is not N,M,A"),
+            (("gen", "--class", "1,2"), "argument --class: class spec '1,2' is not N,M,A"),
+            (("gen", "--class", "3,2,5"), "argument --class: need 1 <= N <= M"),
+            (("bench", "--classes", "1,2,2;x"), "argument --classes: class spec 'x' is not N,M,A"),
+            (("bench", "--runs", "0"), "argument --runs: '0' is not an integer >= 1"),
+            (("bench", "--runs", "-3"), "argument --runs: '-3' is not an integer >= 1"),
+        ],
+        ids=["gen-not-int", "gen-two-fields", "gen-n-over-m", "bench-classes", "runs-0", "runs-negative"],
+    )
+    def test_exit_2_with_an_error_line(self, capsys, argv, message):
+        # argparse rejects them: a usage line, an error line, exit 2.
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(f"error: {message}")
+
+
 class TestUnify:
     def test_trivial_problem(self, capsys):
         code, out, _ = run_cli(capsys, "unify", "1 = 1")

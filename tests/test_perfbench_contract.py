@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from diobasis import completion_solve, graph_solve
+from diobasis import completion_solve, graph_solve, slopes_solve
 from diobasis.core import Equation, oracle_basis
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -82,12 +82,16 @@ def test_every_call_solves_a_small_equation(call):
         ("graph_deep", graph_solve),
         ("graph_wide", graph_solve),
         ("verify_small", completion_solve),
+        ("slopes_grid", slopes_solve),
+        ("verify_small", slopes_solve),
     ],
     ids=[
         "graph-verify_small",
         "graph-graph_deep",
         "graph-graph_wide",
         "completion-verify_small",
+        "slopes-slopes_grid",
+        "slopes-verify_small",
     ],
 )
 def test_basis_matches_the_pinned_reference(workload, solve):

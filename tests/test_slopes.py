@@ -140,11 +140,11 @@ class TestSolve3General:
                 ]
                 assert got == want, (m, d)
 
-    def test_v_zero_reduces_to_slopes3(self):
+    def test_v_zero_matches_filtered_scan(self):
         for a in range(1, 11):
             for b in range(1, 11):
                 for c in range(1, 11):
-                    assert solve3_general(a, b, c, 0) == slopes3(a, b, c)
+                    assert solve3_general(a, b, c, 0) == scan3_reference(a, b, c, 0)
 
     def test_positive_offset(self):
         # 2x = 3y + 5z + 1; frozen from the scan oracle over x,y,z <= 10.
@@ -197,10 +197,21 @@ class TestSolve3General:
         got = solve3_general(a, b, c, v, x_cap=x_cap, yz_cap=yz_cap)
         assert got == scan3_reference(a, b, c, v, x_cap=x_cap, yz_cap=yz_cap)
 
-    def test_caps_restrict_output(self):
-        full = solve3_general(5, 3, 2, 0)
-        capped = solve3_general(5, 3, 2, 0, x_cap=2, yz_cap=5)
-        assert capped == [t for t in full if t[0] <= 2 and t[1] + t[2] <= 5]
+    # The slopes wrapper solves its all-zero prefix by this identity: the
+    # capped v = 0 descent is slopes3 within the same caps.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 300),
+        st.integers(1, 300),
+        st.integers(0, 600),
+        st.integers(0, 600),
+    )
+    @example(5, 3, 2, 2, 5)
+    def test_caps_restrict_output(self, a, b, c, x_cap, yz_cap):
+        capped = solve3_general(a, b, c, 0, x_cap=x_cap, yz_cap=yz_cap)
+        full = slopes3(a, b, c)
+        assert capped == [t for t in full if t[0] <= x_cap and t[1] + t[2] <= yz_cap]
 
 
 class TestSlopesSolve:
@@ -232,17 +243,18 @@ class TestSlopesCounters:
     # (prefixes, residuals_direct, residuals_scan, candidates,
     # residual_steps), pinned so that any change to the walk's pruning or
     # to the residual descent shows.  Each comes with an upper bound, field
-    # by field: the walk's figures before it pruned by found solutions, and
-    # the z values the congruence scan visited before the descent.  "6 4 3
-    # = 7" is solved mirrored; "7 3 = 5 4 2" and wider enumerate two or
-    # more unknowns.
+    # by field: the walk's figures before it pruned by found solutions, the
+    # candidates from before a balanced nonzero prefix became its leaf's
+    # only candidate, and the z values the congruence scan visited before
+    # the descent.  "6 4 3 = 7" is solved mirrored; "7 3 = 5 4 2" and wider
+    # enumerate two or more unknowns.
     COUNTERS = {
         "5 = 3 2": ((1, 1, 0, 3, 0), (1, 1, 0, 3, 0)),
         "6 4 3 = 7": ((9, 1, 7, 10, 10), (9, 1, 7, 10, 22)),
         "3 2 = 4 1": ((6, 1, 4, 11, 15), (6, 1, 4, 11, 15)),
         "7 3 = 5 4 2": ((41, 2, 32, 66, 103), (41, 2, 32, 66, 129)),
-        "4 6 = 5 3 2 7": ((170, 4, 109, 132, 197), (273, 8, 201, 192, 337)),
-        "9 5 2 = 8 6 3": ((255, 6, 194, 169, 212), (322, 7, 260, 212, 1017)),
+        "4 6 = 5 3 2 7": ((170, 4, 109, 130, 197), (273, 8, 201, 132, 337)),
+        "9 5 2 = 8 6 3": ((255, 6, 194, 158, 212), (322, 7, 260, 169, 1017)),
     }
 
     @pytest.mark.parametrize("text", list(COUNTERS))
@@ -265,7 +277,9 @@ class TestSlopesCounters:
         # About 0.4 s, because the walk prunes above the balanced prefixes
         # it has met; without that prune it makes 311,973 prefixes and
         # 478,260 candidates in about 3.3 s.  The residual descent visits
-        # 193,040 z where the congruence scan visited 415,176.
+        # 193,040 z where the congruence scan visited 415,176.  A balanced
+        # nonzero prefix is its leaf's only candidate; before, its leaf
+        # added the v = 0 staircase within the caps, 50,669 candidates.
         stats = SlopesStats()
         eq = parse_equation("39 20 7 = 39 30 11 3")
         basis = slopes_solve(eq, stats=stats)
@@ -277,7 +291,8 @@ class TestSlopesCounters:
             stats.residuals_scan,
             stats.candidates,
             stats.residual_steps,
-        ) == (41307, 19, 32554, 50669, 193040)
+        ) == (41307, 19, 32554, 50621, 193040)
+        assert stats.candidates <= 50669
 
 
 class TestSlopesLimits:
@@ -286,9 +301,10 @@ class TestSlopesLimits:
     # One enumerated unknown, each of its values followed by a residual
     # descent: the first equation makes 1,021 residuals and 87,724
     # candidates in about 0.9 s, and the second runs for more than 5 s.  At
-    # a near 2^20 the v = 0 staircase (``slopes3``, 174,765 triples) and each
-    # residual staircase after it are long descents, so the limit falls
-    # inside one and is caught by its every-4096-steps deadline check.
+    # a near 2^20 the all-zero prefix's v = 0 staircase (174,765 triples
+    # within its caps) and each residual staircase after it are long
+    # descents, so the limit falls inside one and is caught by its
+    # every-4096-steps deadline check.
     @pytest.mark.parametrize(
         "eq",
         [
