@@ -106,6 +106,15 @@ class TimingPolicy:
     timeout_s: float = 600.0
     epsilon_s: float = 0.01
 
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        for name, zero_ok in (("early_stop_s", False), ("timeout_s", False), ("epsilon_s", True)):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
+                bound = ">= 0" if zero_ok else "> 0"
+                raise ValueError(f"{name} must be a finite number {bound}, got {value}")
+
 
 def class_seed(seed: int, bench_class: BenchClass) -> int:
     """Portable per-class PRNG seed derived by hashing, stable across platforms."""

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from . import SOLVERS, __version__
 from .acu import basis_to_unifier, equation_to_problem, format_unifier, verify_unifier
@@ -38,6 +40,22 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
     return int(text)
+
+
+def _seconds(*, zero_ok: bool) -> Callable[[str], float]:
+    """An argparse type for a finite number of seconds, > 0 or >= 0."""
+    bound = ">= 0" if zero_ok else "> 0"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number {bound}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--classes", default="all", metavar="all|N,M,A[;...]",
                        type=_class_spec)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--epsilon", type=float, default=0.01,
+    bench.add_argument("--epsilon", type=_seconds(zero_ok=True), default=0.01,
                        help="tie threshold in seconds for the epsilon table")
     bench.add_argument("--out", default="bench-out", metavar="DIR")
     bench.add_argument("--algo-a", choices=SOLVERS, default="graph")
@@ -97,8 +115,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="external solver executable standing in for algorithm B; "
                             "reads one equation on stdin, prints basis lines")
     bench.add_argument("--runs", type=_positive_int, default=5)
-    bench.add_argument("--early-stop", type=float, default=15.0, metavar="S")
-    bench.add_argument("--timeout", type=float, default=600.0, metavar="S")
+    bench.add_argument("--early-stop", type=_seconds(zero_ok=False), default=15.0,
+                       metavar="S")
+    bench.add_argument("--timeout", type=_seconds(zero_ok=False), default=600.0,
+                       metavar="S")
     bench.add_argument("--quiet", action="store_true")
 
     unify = sub.add_parser("unify", help="build and check the ACU unifier of an equation")

@@ -468,8 +468,9 @@ class DominanceBuckets:
     It tests ``bounds(prefix, i)`` at every value > 0 its loop over
     position i reaches, in ascending order under one parent prefix that no
     added solution bounds, and it stops the loop after a balanced prefix.
-    Then any added s <= prefix has s_i = prefix_i, by the argument in that
-    function's docstring.
+    Its slopes floors only stop loops early and never skip a balanced
+    leaf.  Then any added s <= prefix has s_i = prefix_i, by the argument
+    in that function's docstring.
     """
 
     def __init__(self, n: int):

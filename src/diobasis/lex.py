@@ -11,7 +11,8 @@ The budgeted walk, ``prefix_walk``, takes the positions to enumerate in order,
 a tail length and a leaf callback; the slopes solver enumerates with it too,
 leaving three positions to its own tail.  Besides the bounds, the walk prunes
 by the solutions it has met, as Huet's algorithm does: it skips every prefix
-that lies above a balanced prefix found earlier.
+that lies above a balanced prefix found earlier, and for slopes every prefix
+whose solutions all lie above a found (x, 0, 0) solution.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .core import (
     InsertStats,
     Solution,
     WeightVector,
+    dominated_or_equal,
     ext_gcd,
     insert_minimal,
     solve_normalized,
@@ -125,6 +127,7 @@ def prefix_walk(
     stats: Any,
     deadline: Deadline | None,
     bound: BoundKind = BoundKind.LAMBERT,
+    floors: list[tuple[Solution, int]] | None = None,
 ) -> None:
     """Budgeted backtracking over all but the last ``tail`` positions of
     ``order``, calling ``leaf(d, pos_budget, neg_budget)`` per surviving
@@ -162,6 +165,28 @@ def prefix_walk(
       induction.  With s[order[j]] > 0, s bounds the sibling of that value,
       which was tested with s in its bucket, and the loop broke there.
     So a blocker has exactly ``value`` at order[j].
+
+    Slopes' tail is x, of weight a > 0, followed by negative positions.
+    It passes ``floors``, a list its leaf appends (q, a*xs) to when
+    (q, xs, 0, ..., 0) is one of its candidates, q being the leaf's prefix
+    (nonzero, with defect -a*xs < 0).  Where order[j] and every later
+    enumerated position are negative, the value loop breaks once dv < 0
+    and some floor has q <= prefix and a*xs <= -dv:
+    - Every extension of the prefix lowers the defect to some d <= dv, so
+      a solution below it has a*x = -d + (the negative tail positions'
+      terms, each >= 0) >= -dv >= a*xs, hence x >= xs, and lies above
+      (q, xs, 0, ..., 0).
+    - q is not the prefix: q's leaf was met before the walk reached this
+      value, and the prefix's own leaves come after.  So every such
+      solution is strictly above a solution and not minimal.
+    - Larger values at order[j] raise the prefix and lower dv, so the same
+      floor holds for them, and the loop may break.
+    Every leaf below such a prefix has a defect at most dv < 0, so the
+    floors never cut a balanced leaf, and the walk files the same blockers
+    with or without them.  The bucket precondition holds as before: the
+    floor test comes after the bucket test and only ends loops, so every
+    value the loop reaches is tested, and a prefix is entered only when no
+    filed blocker bounds it.
     """
     weights = w.w
     lambert = bound is BoundKind.LAMBERT
@@ -184,6 +209,13 @@ def prefix_walk(
             hi_from[j] = hi_from[j + 1] + (wj * w.max_b if wj > 0 else 0)
             lo_from[j] = lo_from[j + 1] + (wj * w.max_a if wj < 0 else 0)
 
+    # The floors are tested at order[floor_from:stop], the enumerated
+    # positions of the negative suffix; without floors, nowhere.
+    floor_from = stop
+    if floors is not None:
+        while floor_from and ordered[floor_from - 1] < 0:
+            floor_from -= 1
+
     blockers = DominanceBuckets(len(weights))
 
     def walk(j: int, d: int, pos_budget: int, neg_budget: int) -> None:
@@ -198,6 +230,7 @@ def prefix_walk(
         pos = order[j]
         wj = ordered[j]
         cap = pos_budget if wj > 0 else neg_budget
+        floored = j >= floor_from
         dv = d
         for value in range(cap + 1):
             if value:
@@ -219,6 +252,10 @@ def prefix_walk(
             if wj < 0 and dv + hi < 0:
                 break
             if value and blockers.bounds(assigned, pos):
+                break
+            if floored and dv < 0 and any(
+                need <= -dv and dominated_or_equal(q, assigned) for q, need in floors
+            ):
                 break
             if dv + lo > 0 or dv + hi < 0:
                 continue

@@ -1,11 +1,15 @@
 """Slopes algorithm: direct minimal solutions of a*x = b*y + c*z, plus the
 all-but-three enumeration wrapper for wider equations.  The wrapper
-enumerates with the lex solver's budgeted walk (``lex.prefix_walk``, which
-prunes above the balanced prefixes it has met), with x, y and z as its
-tail.  Each leaf makes one ``solve3_general`` call within its per-side
-budgets, except at a nonzero prefix that balances: with its tail all-zero
-that prefix bounds every solution extending it, so it is the leaf's one
-candidate.
+enumerates with the lex solver's budgeted walk (``lex.prefix_walk``), with
+x, y and z as its tail.  Each leaf makes one ``solve3_general`` call within
+its per-side budgets, except at a nonzero prefix that balances: with its
+tail all-zero that prefix bounds every solution extending it, so it is the
+leaf's one candidate.  The walk prunes by the solutions found so far whose
+tail is (x, 0, 0): a balanced prefix (x = 0) bounds every prefix above it,
+and a leaf q whose residual is a*x alone, with x within the budget, is a
+floor.  Once only negative positions are left to enumerate, a prefix above
+q whose deficit is at least a*x can only reach solutions above
+(q, x, 0, 0), so the walk breaks its loop there (Huet, IPL 1978).
 
 ``solve3_general`` solves a*x = b*y + c*z + v, and ``slopes3`` is its
 v = 0 case.  It walks the staircase of minimal solutions (Filgueiras &
@@ -273,6 +277,7 @@ def _solve(w: WeightVector, stats: SlopesStats, deadline: Deadline | None) -> Ba
     order = [i for i in range(n) if i not in xyz] + xyz
 
     candidates: list[Solution] = []
+    floors: list[tuple[Solution, int]] = []
     assigned = [0] * n
 
     def solve_tail(d: int, pos_budget: int, neg_budget: int) -> None:
@@ -280,6 +285,9 @@ def _solve(w: WeightVector, stats: SlopesStats, deadline: Deadline | None) -> Ba
             deadline.check()
         if d:
             stats.residuals_scan += 1
+            if d < 0 and not d % a and -d // a <= pos_budget:
+                # The residual's staircase is (-d/a, 0, 0) alone, a floor.
+                floors.append((tuple(assigned), -d))
         else:
             stats.residuals_direct += 1
             if any(assigned):
@@ -300,5 +308,7 @@ def _solve(w: WeightVector, stats: SlopesStats, deadline: Deadline | None) -> Ba
 
     # With (x, y, z) last in the order, the walk's suffix envelopes at the
     # tail are a and max(b, c).
-    prefix_walk(w, order, 3, solve_tail, assigned, stats=stats, deadline=deadline)
+    prefix_walk(
+        w, order, 3, solve_tail, assigned, stats=stats, deadline=deadline, floors=floors
+    )
     return pareto_min(candidates, deadline)

@@ -154,6 +154,29 @@ class TestMeasure:
         assert result.runs == [0.01] * 5
 
 
+class TestTimingPolicy:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"runs": 0},
+            {"runs": -1},
+            {"timeout_s": 0.0},
+            {"timeout_s": -1.0},
+            {"early_stop_s": 0.0},
+            {"early_stop_s": float("nan")},
+            {"epsilon_s": -0.01},
+            {"epsilon_s": float("inf")},
+        ],
+        ids=str,
+    )
+    def test_rejects_a_policy_that_cannot_time(self, kwargs):
+        with pytest.raises(ValueError):
+            TimingPolicy(**kwargs)
+
+    def test_zero_epsilon_is_exact_ties(self):
+        assert TimingPolicy(epsilon_s=0.0).epsilon_s == 0.0
+
+
 class TestScoreClass:
     def test_six_four(self):
         a = [1.0] * 6 + [3.0] * 4

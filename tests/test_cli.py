@@ -146,8 +146,23 @@ class TestMalformedOptions:
             (("bench", "--classes", "1,2,2;x"), "argument --classes: class spec 'x' is not N,M,A"),
             (("bench", "--runs", "0"), "argument --runs: '0' is not an integer >= 1"),
             (("bench", "--runs", "-3"), "argument --runs: '-3' is not an integer >= 1"),
+            (("bench", "--timeout", "-1"), "argument --timeout: '-1' is not a finite number > 0"),
+            (("bench", "--timeout", "0"), "argument --timeout: '0' is not a finite number > 0"),
+            (("bench", "--timeout", "nan"), "argument --timeout: 'nan' is not a finite number > 0"),
+            (("bench", "--early-stop", "0"),
+             "argument --early-stop: '0' is not a finite number > 0"),
+            (("bench", "--early-stop", "x"),
+             "argument --early-stop: 'x' is not a finite number > 0"),
+            (("bench", "--epsilon", "-0.5"),
+             "argument --epsilon: '-0.5' is not a finite number >= 0"),
+            (("bench", "--epsilon", "inf"),
+             "argument --epsilon: 'inf' is not a finite number >= 0"),
         ],
-        ids=["gen-not-int", "gen-two-fields", "gen-n-over-m", "bench-classes", "runs-0", "runs-negative"],
+        ids=[
+            "gen-not-int", "gen-two-fields", "gen-n-over-m", "bench-classes", "runs-0",
+            "runs-negative", "timeout-negative", "timeout-0", "timeout-nan", "early-stop-0",
+            "early-stop-not-number", "epsilon-negative", "epsilon-inf",
+        ],
     )
     def test_exit_2_with_an_error_line(self, capsys, argv, message):
         # argparse rejects them: a usage line, an error line, exit 2.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diobasis import lex, slopes
 from diobasis.core import (
     Deadline,
     Equation,
@@ -239,22 +240,77 @@ class TestSlopesSolve:
             assert slopes_solve(eq) == graph_solve(eq), eq.text()
 
 
+def oracle_of_weights(weights):
+    """The oracle's basis of a signed weight sequence, in its own order."""
+    pos = [i for i, wi in enumerate(weights) if wi > 0]
+    neg = [i for i, wi in enumerate(weights) if wi < 0]
+    eq = Equation(tuple(weights[i] for i in pos), tuple(-weights[i] for i in neg))
+    basis = []
+    for sol in oracle_basis(eq):
+        full = [0] * len(weights)
+        for i, x in zip(pos + neg, sol):
+            full[i] = x
+        basis.append(tuple(full))
+    return sorted(basis)
+
+
+def walk_without_floors(*args, floors=None, **kwargs):
+    """``prefix_walk`` with the floor test taken out."""
+    return lex.prefix_walk(*args, **kwargs)
+
+
+class TestFloorPrune:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        weights=st.tuples(
+            st.lists(st.integers(1, 7), min_size=1, max_size=2),
+            st.lists(st.integers(1, 9), min_size=3, max_size=5),
+        ).flatmap(
+            lambda sides: st.one_of(
+                st.just(sides[0] + [-b for b in sides[1]]),
+                st.permutations(sides[0] + [-b for b in sides[1]]),
+            )
+        )
+    )
+    # One enumerated position, -3: its value 3 leaves the residual
+    # (1, 0, 0), and the floor breaks the loop there (5 prefixes, not 11).
+    @example(weights=[9, -3, -7, -9])
+    # Slopes enumerates -3, then 2.  A floor found below -3's value 1 must
+    # not break that loop: the positive position after it can undo the
+    # deficit, and a loop break there loses basis members.
+    @example(weights=[3, -3, -1, 2, -6])
+    def test_floors_keep_the_basis_and_only_cut(self, weights):
+        # Slopes enumerates one to three negative positions here, in
+        # equation order or shuffled among the positive ones.
+        want = oracle_of_weights(weights)
+        floored = SlopesStats()
+        assert slopes_solve(weights, stats=floored) == want
+        unfloored = SlopesStats()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(slopes, "prefix_walk", walk_without_floors)
+            assert slopes_solve(weights, stats=unfloored) == want
+        assert floored.prefixes <= unfloored.prefixes
+        assert floored.candidates <= unfloored.candidates
+
+
 class TestSlopesCounters:
     # (prefixes, residuals_direct, residuals_scan, candidates,
     # residual_steps), pinned so that any change to the walk's pruning or
     # to the residual descent shows.  Each comes with an upper bound, field
-    # by field: the walk's figures before it pruned by found solutions, the
-    # candidates from before a balanced nonzero prefix became its leaf's
-    # only candidate, and the z values the congruence scan visited before
-    # the descent.  "6 4 3 = 7" is solved mirrored; "7 3 = 5 4 2" and wider
-    # enumerate two or more unknowns.
+    # by field: the figures from before the walk broke its loops above the
+    # found (x, 0, 0) solutions.  Those were in turn no higher than the
+    # walk's before it pruned by any found solution, the candidates from
+    # before a balanced nonzero prefix became its leaf's only candidate,
+    # and the z values the congruence scan visited before the descent.
+    # "6 4 3 = 7" is solved mirrored; "7 3 = 5 4 2" and wider enumerate two
+    # or more unknowns.
     COUNTERS = {
         "5 = 3 2": ((1, 1, 0, 3, 0), (1, 1, 0, 3, 0)),
-        "6 4 3 = 7": ((9, 1, 7, 10, 10), (9, 1, 7, 10, 22)),
+        "6 4 3 = 7": ((9, 1, 7, 10, 10), (9, 1, 7, 10, 10)),
         "3 2 = 4 1": ((6, 1, 4, 11, 15), (6, 1, 4, 11, 15)),
-        "7 3 = 5 4 2": ((41, 2, 32, 66, 103), (41, 2, 32, 66, 129)),
-        "4 6 = 5 3 2 7": ((170, 4, 109, 130, 197), (273, 8, 201, 132, 337)),
-        "9 5 2 = 8 6 3": ((255, 6, 194, 158, 212), (322, 7, 260, 169, 1017)),
+        "7 3 = 5 4 2": ((33, 2, 24, 57, 87), (41, 2, 32, 66, 103)),
+        "4 6 = 5 3 2 7": ((109, 4, 61, 99, 138), (170, 4, 109, 130, 197)),
+        "9 5 2 = 8 6 3": ((199, 6, 138, 127, 180), (255, 6, 194, 158, 212)),
     }
 
     @pytest.mark.parametrize("text", list(COUNTERS))
@@ -274,25 +330,27 @@ class TestSlopesCounters:
         assert all(g <= u for g, u in zip(got, bound))
 
     def test_hard_case(self):
-        # About 0.4 s, because the walk prunes above the balanced prefixes
-        # it has met; without that prune it makes 311,973 prefixes and
-        # 478,260 candidates in about 3.3 s.  The residual descent visits
-        # 193,040 z where the congruence scan visited 415,176.  A balanced
-        # nonzero prefix is its leaf's only candidate; before, its leaf
-        # added the v = 0 staircase within the caps, 50,669 candidates.
+        # About 0.1 s, because the walk breaks its loops above the balanced
+        # prefixes and the (x, 0, 0) solutions it has met.  With the
+        # balanced prefixes alone it made 41,307 prefixes and 50,621
+        # candidates in about 0.3 s; with neither prune, 311,973 prefixes
+        # and 478,260 candidates in about 3.3 s.  The residual descent
+        # visits 130,709 z, where the congruence scan visited 415,176
+        # without the floors.
         stats = SlopesStats()
         eq = parse_equation("39 20 7 = 39 30 11 3")
         basis = slopes_solve(eq, stats=stats)
         assert len(basis) == 142
         assert basis == graph_solve(eq)
-        assert (
+        got = (
             stats.prefixes,
             stats.residuals_direct,
             stats.residuals_scan,
             stats.candidates,
             stats.residual_steps,
-        ) == (41307, 19, 32554, 50621, 193040)
-        assert stats.candidates <= 50669
+        )
+        assert got == (8939, 19, 4282, 10975, 130709)
+        assert all(g <= u for g, u in zip(got, (41307, 19, 32554, 50621, 193040)))
 
 
 class TestSlopesLimits:
@@ -326,6 +384,15 @@ class TestSlopesLimits:
         with pytest.raises(TimeLimitError):
             solve3_general(1048573, 1048572, 1048571, -1, deadline=Deadline(0.05))
         assert time.perf_counter() - start < 0.05 + 0.5
+
+    def test_floors_finish_a_former_timeout(self):
+        # Slopes enumerates -22, -117 and -145, all negative, so no nonzero
+        # prefix ever balances.  Without the floors the walk ran past 20 s
+        # (4.9 M prefixes); with them it makes 10,366 in about 0.1 s.
+        eq = parse_equation("434 = 22 117 145 238 503")
+        basis = slopes_solve(eq, time_limit=10)
+        assert len(basis) == 366
+        assert basis == graph_solve(eq)
 
     @pytest.mark.slow
     def test_hard_case_finishes_within_its_limit(self):
