@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--format", choices=("text", "json"), default="text")
     solve.add_argument("--no-timing", action="store_true",
                        help="omit the timing field for byte-stable output")
-    solve.add_argument("--time-limit", type=float, default=None, metavar="S")
+    solve.add_argument("--time-limit", type=_seconds(zero_ok=False), metavar="S")
     solve.add_argument("--emit-graph", metavar="PATH",
                        help="also write the defect-graph adjacency as text")
     solve.add_argument("--dump-slopes3", nargs=3, type=int, metavar=("A", "B", "C"),
@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run all four algorithms plus the oracle")
     add_equation_input(verify)
     verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument("--time-limit", type=float, default=None, metavar="S")
+    verify.add_argument("--time-limit", type=_seconds(zero_ok=False), metavar="S")
     verify.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
                         help="skip the oracle when the search box exceeds this many vectors")
 
@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_equation_input(unify)
     unify.add_argument("--algo", choices=SOLVERS, default="graph")
     unify.add_argument("--format", choices=("text", "json"), default="text")
-    unify.add_argument("--time-limit", type=float, default=None, metavar="S")
+    unify.add_argument("--time-limit", type=_seconds(zero_ok=False), metavar="S")
 
     return parser
 

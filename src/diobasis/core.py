@@ -329,11 +329,6 @@ def _pareto_min_numpy(uniq: set[Solution], deadline: Deadline | None) -> BasisLi
     if deadline is not None:
         deadline.check()
     size = int(ranks.max()) + 1
-    # The index takes n * size bits per kept vector, up to twice that with
-    # the slack of its geometric growth.  If keeping every vector could
-    # overrun the budget, test row by row in memory for the rows alone.
-    if n * size * len(arr) // 4 > _INDEX_BYTES:
-        return _sorted_tuples(_pareto_min_rows(arr, deadline))
     index = DominanceIndex(n, size)
     keep = np.zeros(len(arr), dtype=bool)
     for lo in range(0, len(arr), _SWEEP_ROWS):
@@ -353,24 +348,32 @@ def _pareto_min_numpy(uniq: set[Solution], deadline: Deadline | None) -> BasisLi
             np.fill_diagonal(below, False)
             fresh[rows[below.any(axis=0)]] = False
         keep[lo:hi] = fresh
+        # The index takes n * size bits per kept vector, up to twice that
+        # with the slack of its geometric growth.  Once the kept vectors
+        # would overrun the budget, test the rest row by row in memory for
+        # the rows alone.
+        count = index.count + int(fresh.sum())
+        if n * size * count // 4 > _INDEX_BYTES:
+            rest = np.concatenate((arr[:hi][keep[:hi]], arr[hi:]))
+            return _sorted_tuples(_pareto_min_rows(rest, count, deadline))
         index.add(batch[fresh])
     return _sorted_tuples(arr[keep])
 
 
-def _pareto_min_rows(arr: np.ndarray, deadline: Deadline | None) -> np.ndarray:
-    """Minimal rows of a sum-sorted, duplicate-free array, one row at a time."""
-    import numpy as np
-
-    kept = np.empty_like(arr)
-    count = 0
-    for row, v in enumerate(arr):
+def _pareto_min_rows(
+    arr: np.ndarray, count: int, deadline: Deadline | None
+) -> np.ndarray:
+    """Minimal rows of a sum-sorted, duplicate-free array whose first
+    ``count`` rows are known minimal, one row at a time, kept by moving
+    them to the front of ``arr``."""
+    for row in range(count, len(arr)):
         if deadline is not None and row % _SWEEP_ROWS == 0:
             deadline.check()
-        if count and bool((kept[:count] <= v).all(axis=1).any()):
+        if count and bool((arr[:count] <= arr[row]).all(axis=1).any()):
             continue
-        kept[count] = v
+        arr[count] = arr[row]
         count += 1
-    return kept[:count]
+    return arr[:count]
 
 
 def _sorted_tuples(arr: np.ndarray) -> BasisList:

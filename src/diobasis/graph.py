@@ -1,4 +1,4 @@
-"""Graph algorithm: the completion search run over a precomputed defect digraph.
+"""Graph algorithm: the completion search run over the defect digraph.
 
 Nodes are the admissible defect values [-max_b, max_a]; an edge labelled i
 maps d to d + w_i when the target stays in range.  A walk records how often
@@ -15,7 +15,10 @@ visits; an earlier level has indexed a minimal solution below it, so the
 walk is pruned.  Every node lies in [1 - max_b, max_a], so the positive
 steps of a surviving walk start from distinct nodes among the max_b nodes
 {0, -1, ..., 1 - max_b} and its negative steps from distinct nodes among
-the max_a nodes {1, ..., max_a}.
+the max_a nodes {1, ..., max_a}.  Every edge the search follows therefore
+stays in range, and the search follows it by adding its weight: a walk is
+carried with its defect, never with a node index or an adjacency table.
+``DefectGraph`` is the digraph itself, as ``solve --emit-graph`` dumps it.
 
 A level is expanded one of two ways, and each way has one prune.  A level
 of at most ``NARROW_FRONTIER`` walks, while the search has found at most
@@ -23,11 +26,12 @@ of at most ``NARROW_FRONTIER`` walks, while the search has found at most
 completion procedure's own step, ``completion.completion_step``, each walk a
 tuple of label counts carried with its defect as an int, so a deep search of
 thin levels costs per walk, not per level.  Every other level is expanded in
-vectorized passes over an int32 array of walks, whose successor nodes come
-from the materialized adjacency table.  Both paths apply the same scan rule
-to the same seeds, ``completion.initial_proposals``.  The adjacency table and
-the bitset index are built on the first wide level, so a search of narrow
-levels alone runs without numpy.
+vectorized passes over an int32 array of walks and an array of their
+defects, a child's defect its parent's plus the weight of its label.  Both
+paths apply the same scan rule to the same seeds,
+``completion.initial_proposals``.  The label arrays and the bitset index are
+built on the first wide level, so a search of narrow levels alone runs
+without numpy.
 
 A narrow level tests each child as it is made.  The child c = x + e_i
 extends a walk x that survived the prune one level earlier, so a found
@@ -87,36 +91,26 @@ BUCKET_SOLUTIONS = 256
 
 
 class DefectGraph:
-    """Labelled digraph over defect values with lookup-table adjacency."""
+    """Labelled digraph over defect values: edge i takes d to d + w_i while
+    the target stays in [-max_b, max_a]."""
 
     def __init__(self, w: WeightVector):
-        import numpy as np
-
         self.w = w
         self.node_lo = -w.max_b
         self.node_hi = w.max_a
         self.num_nodes = self.node_hi - self.node_lo + 1
-        self.zero_index = -self.node_lo
-        # target[idx, i] = index of node d + w_i, or -1 when out of range
-        target = np.arange(self.num_nodes, dtype=np.int32)[:, None] + np.array(
-            w.w, dtype=np.int32
-        )
-        target[(target < 0) | (target >= self.num_nodes)] = -1
-        self.target = target
 
     @property
     def edge_count(self) -> int:
-        return int((self.target >= 0).sum())
+        return sum(self.num_nodes - abs(wi) for wi in self.w.w)
 
     def successors(self, d: int) -> list[tuple[int, int]]:
         """Edges out of node ``d`` as (0-based label, target defect) pairs."""
-        idx = d - self.node_lo
-        out = []
-        for i in range(len(self.w)):
-            t = self.target[idx, i]
-            if t >= 0:
-                out.append((i, int(t) + self.node_lo))
-        return out
+        return [
+            (i, d + wi)
+            for i, wi in enumerate(self.w.w)
+            if self.node_lo <= d + wi <= self.node_hi
+        ]
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All edges as (source defect, 0-based label, target defect)."""
@@ -152,13 +146,13 @@ class GraphStats:
 
 class _Search:
     """State shared by the levels of one graph search: the weights, the
-    adjacency table, the solutions found so far and their dominance indexes.
+    solutions found so far and their dominance indexes.
 
     A level is expanded by ``narrow_level`` on a list of walk tuples, with
     ``completion_step`` and the bucket test, or by ``wide_level`` on an int32
-    array of label counts with the walks' node indices and the bitset test;
-    both apply the same scan rule.  The ndarray side (``table``,
-    ``zero_idx``, ``label_arrays``, ``positive`` and ``index``) is built by
+    array of label counts with the walks' defects and the bitset test; both
+    apply the same scan rule.  The ndarray side (``weights``,
+    ``label_arrays``, ``positive`` and ``index``) is built by
     ``build_arrays`` on the first wide level.  With ``check`` it is built at
     the start, since the audits read the bitset, and both paths also raise
     ``AssertionError`` on a broken invariant (module docstring).
@@ -183,28 +177,26 @@ class _Search:
         import numpy as np
 
         w = self.w
-        graph = build_defect_graph(w)
-        self.table = graph.target
-        self.zero_idx = graph.zero_index
+        self.weights = np.array(w.w, dtype=np.int32)
         self.label_arrays = [np.array(order, dtype=np.int64) for order in w.scan_orders]
-        self.positive = np.array(w.w) > 0
+        self.positive = self.weights > 0
         # A child's side sums stay within the per-side caps (module
         # docstring), so every coordinate is at most max(max_a, max_b).
         self.index = DominanceIndex(len(w), max(w.max_a, w.max_b) + 1)
         if self.solutions:
             self.index.add(np.array(self.solutions, dtype=np.int32))
 
-    def to_walks(self, rows: np.ndarray, nodes: np.ndarray) -> list[Walk]:
-        return list(zip(map(tuple, rows.tolist()), (nodes - self.zero_idx).tolist()))
+    def to_walks(self, rows: np.ndarray, defects: np.ndarray) -> list[Walk]:
+        return list(zip(map(tuple, rows.tolist()), defects.tolist()))
 
     def to_rows(self, walks: list[Walk]) -> tuple[np.ndarray, np.ndarray]:
-        """The walks as a wide level: int32 label counts and node indices."""
+        """The walks as a wide level: int32 label counts and defects."""
         import numpy as np
 
         if self.index is None:
             self.build_arrays()
-        nodes = np.array([walk[1] for walk in walks]) + self.zero_idx
-        return np.array([walk[0] for walk in walks], dtype=np.int32), nodes
+        counts, defects = zip(*walks)
+        return np.array(counts, dtype=np.int32), np.array(defects, dtype=np.int32)
 
     def emit(self, new: list[Solution], rows: np.ndarray | None = None) -> None:
         """Record a level's emissions, given as tuples and, from a wide level,
@@ -268,23 +260,18 @@ class _Search:
         return proposals
 
     def wide_level(
-        self, frontier: np.ndarray, nodes: np.ndarray
+        self, frontier: np.ndarray, defects: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Expand a level in vectorized passes; returns the next level."""
         import numpy as np
 
-        zero_idx = self.zero_idx
         chunks = []
-        chunk_nodes = []
+        chunk_defects = []
         pos_desc, neg_desc = self.label_arrays
-        for labels_desc, rows in (
-            (pos_desc, nodes < zero_idx),
-            (neg_desc, nodes > zero_idx),
-        ):
+        for labels_desc, rows in ((pos_desc, defects < 0), (neg_desc, defects > 0)):
             group = frontier[rows]
             if not len(group):
                 continue
-            group_nodes = nodes[rows]
             m = len(labels_desc)
             used = group[:, labels_desc] > 0
             has_used = used.any(axis=1)
@@ -296,12 +283,12 @@ class _Search:
             children = group[row_idx]
             children[np.arange(len(children)), labels] += 1
             chunks.append(children)
-            chunk_nodes.append(self.table[group_nodes[row_idx], labels])
+            chunk_defects.append(defects[rows][row_idx] + self.weights[labels])
 
         children = np.vstack(chunks)
-        child_nodes = np.concatenate(chunk_nodes)
+        child_defects = np.concatenate(chunk_defects)
         self.stats.children += len(children)
-        is_solution = child_nodes == zero_idx
+        is_solution = child_defects == 0
         emitted = children[is_solution]
         if len(emitted):
             self.emit(list(map(tuple, emitted.tolist())), emitted)
@@ -314,7 +301,7 @@ class _Search:
         self.stats.pruned_dominated += len(keep) - len(proposals)
         if self.check and len(np.unique(proposals, axis=0)) < len(proposals):
             raise AssertionError("duplicate walk; scan rule violated")
-        return proposals, child_nodes[live][keep]
+        return proposals, child_defects[live][keep]
 
 
 def graph_solve(
@@ -356,7 +343,7 @@ def _solve(
 
     # One-sided seeding, as in the completion procedure.
     walks = initial_proposals(w)
-    wide = None  # (rows, nodes) while the frontier is wide; walks is then stale
+    wide = None  # (rows, defects) while the frontier is wide; walks is then stale
     while True:
         width = len(walks) if wide is None else len(wide[0])
         if not width:

@@ -157,11 +157,20 @@ class TestMalformedOptions:
              "argument --epsilon: '-0.5' is not a finite number >= 0"),
             (("bench", "--epsilon", "inf"),
              "argument --epsilon: 'inf' is not a finite number >= 0"),
+            (("solve", "--time-limit", "nan", "1 = 1"),
+             "argument --time-limit: 'nan' is not a finite number > 0"),
+            (("solve", "--time-limit", "0", "1 = 1"),
+             "argument --time-limit: '0' is not a finite number > 0"),
+            (("verify", "--time-limit", "-1", "1 = 1"),
+             "argument --time-limit: '-1' is not a finite number > 0"),
+            (("unify", "--time-limit", "inf", "1 = 1"),
+             "argument --time-limit: 'inf' is not a finite number > 0"),
         ],
         ids=[
             "gen-not-int", "gen-two-fields", "gen-n-over-m", "bench-classes", "runs-0",
             "runs-negative", "timeout-negative", "timeout-0", "timeout-nan", "early-stop-0",
-            "early-stop-not-number", "epsilon-negative", "epsilon-inf",
+            "early-stop-not-number", "epsilon-negative", "epsilon-inf", "solve-time-limit-nan",
+            "solve-time-limit-0", "verify-time-limit-negative", "unify-time-limit-inf",
         ],
     )
     def test_exit_2_with_an_error_line(self, capsys, argv, message):
@@ -272,6 +281,17 @@ class TestColdStart:
         ):
             _, names = fresh_cli(*argv)
             assert "numpy" not in names, argv
+
+    def test_emit_graph_runs_without_numpy(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        _, names = fresh_cli("solve", "--no-timing", "--emit-graph", str(path), "2 1 = 1")
+        assert path.read_text().splitlines() == [
+            "-1: (1->1) (2->0)",
+            "0: (1->2) (2->1) (3->-1)",
+            "1: (2->2) (3->0)",
+            "2: (3->1)",
+        ]
+        assert "numpy" not in names
 
     def test_a_wide_graph_level_imports_numpy(self):
         # Its widest level holds 586 walks.

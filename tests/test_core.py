@@ -343,6 +343,48 @@ class TestParetoMin:
         vecs += [(i, 300 - i, 0) for i in range(300)]
         assert pareto_min(vecs) == pareto_reference(vecs)
 
+    def test_budget_counts_kept_rows_only(self, monkeypatch):
+        # 1,519 rows, 13 of them minimal (a + b == 14, c == 1): the index
+        # of the kept rows fits a budget that all rows together would pass.
+        vecs = [
+            (a, b, c)
+            for a in range(1, 15)
+            for b in range(1, 15)
+            for c in range(1, 8)
+            if a + b >= 14
+        ]
+        kept = pareto_reference(vecs)
+        n, size = 3, 14
+        budget = 2 * n * size * len(kept) // 4
+        assert len(kept) == 13 and budget < n * size * len(vecs) // 4
+
+        def rows(*args):
+            pytest.fail("pareto_min took the row path though the kept rows fit")
+
+        monkeypatch.setattr(core, "_INDEX_BYTES", budget)
+        monkeypatch.setattr(core, "_pareto_min_rows", rows)
+        assert pareto_min(vecs) == kept
+
+    def test_budget_overflow_mid_sweep(self, monkeypatch):
+        # The kept rows pass the budget halfway through the sweep, and the
+        # row path finishes from the kept rows and the rows not yet swept.
+        rng = random.Random(4)
+        vecs = list({tuple(rng.randint(0, 40) for _ in range(3)) for _ in range(3000)})
+        expected = pareto_reference(vecs)
+        size = max(len(set(col)) for col in zip(*vecs))
+        monkeypatch.setattr(core, "_INDEX_BYTES", 3 * size * len(expected) // 8)
+        seen = []
+        rows = core._pareto_min_rows
+
+        def spy(arr, count, deadline):
+            seen.append((count, len(arr)))
+            return rows(arr, count, deadline)
+
+        monkeypatch.setattr(core, "_pareto_min_rows", spy)
+        assert pareto_min(vecs) == expected
+        [(count, rows_left)] = seen
+        assert 0 < count < len(expected) < rows_left < len(vecs)
+
     def test_numpy_path_checks_the_deadline_before_ranking(self, monkeypatch):
         # Building, sorting and ranking half a million vectors takes most of
         # a second, so an expired deadline must stop the setup early.

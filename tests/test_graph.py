@@ -86,6 +86,7 @@ class TestBuildDefectGraph:
             nodes = w.max_a + w.max_b + 1
             assert g.num_nodes == nodes
             assert g.edge_count == sum(nodes - abs(wi) for wi in w.w)
+            assert g.edge_count == len(list(g.edges()))
 
     def test_every_edge_adds_its_weight(self):
         g = build_defect_graph(WeightVector((2, 3, -4)))
@@ -211,33 +212,34 @@ class TestSearchCounters:
 @pytest.fixture
 def events(monkeypatch):
     """Log of one search's ndarray-side builds and level expansions, in
-    order: "build" per call of ``graph.build_defect_graph``, looked up by
-    its module-global name, and "narrow" or "wide" per level."""
+    order: "build" per call of ``graph._Search.build_arrays`` and "narrow"
+    or "wide" per level."""
     log = []
-    build = graph.build_defect_graph
+    build = graph._Search.build_arrays
     narrow, wide = graph._Search.narrow_level, graph._Search.wide_level
 
-    def counted_build(w):
+    def counted_build(self):
         log.append("build")
-        return build(w)
+        return build(self)
 
     def counted_narrow(self, walks):
         log.append("narrow")
         return narrow(self, walks)
 
-    def counted_wide(self, frontier, nodes):
+    def counted_wide(self, frontier, defects):
         log.append("wide")
-        return wide(self, frontier, nodes)
+        return wide(self, frontier, defects)
 
-    monkeypatch.setattr(graph, "build_defect_graph", counted_build)
+    monkeypatch.setattr(graph._Search, "build_arrays", counted_build)
     monkeypatch.setattr(graph._Search, "narrow_level", counted_narrow)
     monkeypatch.setattr(graph._Search, "wide_level", counted_wide)
     return log
 
 
 class TestArraySide:
-    """The adjacency table and the bitset index are built on the first wide
-    level, or at the start under ``check_invariants``."""
+    """The label arrays and the bitset index are built on the first wide
+    level, or at the start under ``check_invariants``, and the search never
+    builds a ``DefectGraph``."""
 
     def test_narrow_search_builds_nothing(self, events):
         stats = GraphStats()
@@ -265,6 +267,18 @@ class TestArraySide:
             # With the buckets kept for the whole search, the frontier
             # narrows again after its wide levels.
             assert ("narrow", "build", "wide", "narrow") in shapes
+
+    def test_search_never_builds_the_digraph(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the search built a DefectGraph")
+
+        monkeypatch.setattr(graph, "DefectGraph", refuse)
+        monkeypatch.setattr(graph, "build_defect_graph", refuse)
+        eq = parse_equation("9 5 = 2 7 12")
+        for path in level_paths(monkeypatch):
+            for check in (False, True):
+                basis = graph_solve(eq, check_invariants=check)
+                assert basis == oracle_basis(eq), (path, check)
 
     def test_check_invariants_builds_at_the_start(self, events):
         graph_solve(parse_equation("335 = 473 1021"), check_invariants=True)

@@ -395,5 +395,15 @@ class TestSlopesLimits:
         assert basis == graph_solve(eq)
 
     @pytest.mark.slow
+    def test_large_final_filter_stays_on_the_index(self):
+        # 1,570,907 candidates for a 1,060-element basis.  The final filter
+        # once took the quadratic row path, counting every candidate as
+        # kept, and the solve ran about 60 s.
+        eq = parse_equation("70 60 44 = 7 50 77 107")
+        basis = slopes_solve(eq, time_limit=30)
+        assert len(basis) == 1060
+        assert basis == graph_solve(eq)
+
+    @pytest.mark.slow
     def test_hard_case_finishes_within_its_limit(self):
         assert len(slopes_solve(self.HARD, time_limit=60)) == 87384
