@@ -136,7 +136,7 @@ def completion_solve(
         problem,
         _solve,
         stats if stats is not None else CompletionStats(),
-        Deadline.maybe(time_limit),
+        Deadline(time_limit),
         check_invariants,
     )
 
@@ -144,7 +144,7 @@ def completion_solve(
 def _solve(
     w: WeightVector,
     stats: CompletionStats,
-    deadline: Deadline | None,
+    deadline: Deadline,
     check_invariants: bool,
 ) -> BasisList:
     found = DominanceBuckets(len(w))

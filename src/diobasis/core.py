@@ -67,20 +67,24 @@ class TimeLimitError(DiobasisError):
 
 
 class Deadline:
-    """Cooperative wall-clock limit checked at safe points inside solvers."""
+    """Cooperative wall-clock limit checked at safe points inside solvers.
+
+    Every solver entry point builds one from its ``time_limit``, so each
+    check site has one path.  ``Deadline(None)`` never expires, a limit of
+    zero or less expires at once, and a NaN limit, which no comparison
+    could ever expire, raises ``ValueError``.
+    """
 
     __slots__ = ("expires_at",)
 
-    def __init__(self, seconds: float):
-        self.expires_at = time.perf_counter() + seconds
+    def __init__(self, seconds: float | None):
+        if seconds is not None and math.isnan(seconds):
+            raise ValueError("time limit is NaN")
+        self.expires_at = math.inf if seconds is None else time.perf_counter() + seconds
 
     def check(self) -> None:
         if time.perf_counter() > self.expires_at:
             raise TimeLimitError("solver exceeded its time limit")
-
-    @staticmethod
-    def maybe(seconds: float | None) -> "Deadline | None":
-        return None if seconds is None else Deadline(seconds)
 
 
 def _validate_side(name: str, coeffs: Sequence[int]) -> None:
@@ -263,7 +267,7 @@ def insert_minimal(
 
 
 def pareto_min(
-    vectors: Iterable[Sequence[int]], deadline: Deadline | None = None
+    vectors: Iterable[Sequence[int]], deadline: Deadline = Deadline(None)
 ) -> BasisList:
     """Minimal elements of a vector set under componentwise dominance, sorted.
 
@@ -272,13 +276,20 @@ def pareto_min(
     basis.  A dominator is lexicographically smaller, so it comes first,
     and a dropped one is itself bounded by a kept one: the rule's
     precondition holds, and the result is already sorted.
+
     Larger sets are swept in batches in ascending coordinate-sum order, where
     equal sums never dominate each other.  One vectorized pass tests a batch
     against a :class:`DominanceIndex` of the vectors kept so far, survivors
     of different sums within the batch are compared with each other, and the
-    rest join the index.  ``deadline`` is checked once per batch.  Only
-    that path uses numpy, which it imports on its first call, so a process
-    whose calls stay at 512 vectors or fewer never loads it.
+    rest join the index.  A pass keeps rows while its index, old and grown
+    masks together while it grows, fits ``_INDEX_BYTES``; after that every
+    fresh row is still tested against the full index but waits for the next
+    pass, which sweeps the waiting rows with a new index.  Sums only grow,
+    so nothing a later pass keeps bounds a row an earlier pass kept, and the
+    first batch of a pass is always kept, so every pass makes progress.
+    ``deadline`` is checked once per batch.  Only this path uses numpy,
+    which it imports on its first call, so a process whose calls stay at 512
+    vectors or fewer never loads it.
     """
     uniq = {tuple(v) for v in vectors}
     if len(uniq) > 512:
@@ -296,11 +307,11 @@ _FILL_ROWS = 1 << 16
 _SWEEP_ROWS = 128
 # Bound on the candidates x words x 8 B temporary of one dominance test.
 _TEST_CHUNK_BYTES = 1 << 23
-# Largest bitset index one pareto_min call may build.
+# Largest bitset index, growth included, one sweep pass may build.
 _INDEX_BYTES = 1 << 28
 
 
-def _pareto_min_numpy(uniq: set[Solution], deadline: Deadline | None) -> BasisList:
+def _pareto_min_numpy(uniq: set[Solution], deadline: Deadline) -> BasisList:
     import numpy as np
 
     n = len(next(iter(uniq)))
@@ -309,8 +320,7 @@ def _pareto_min_numpy(uniq: set[Solution], deadline: Deadline | None) -> BasisLi
     vecs = list(uniq)
     arr = np.empty((len(vecs), n), dtype=np.int64)
     for lo in range(0, len(vecs), _FILL_ROWS):
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         chunk = vecs[lo : lo + _FILL_ROWS]
         flat = itertools.chain.from_iterable(chunk)
         arr[lo : lo + len(chunk)] = np.fromiter(
@@ -319,67 +329,46 @@ def _pareto_min_numpy(uniq: set[Solution], deadline: Deadline | None) -> BasisLi
     sums = arr.sum(axis=1)
     order = np.argsort(sums, kind="stable")
     arr, sums = arr[order], sums[order]
-    if deadline is not None:
-        deadline.check()
+    deadline.check()
     # Dominance only compares values within a column, so per-column ranks
     # keep the index as small as the number of distinct values.
     ranks = np.empty(arr.shape, dtype=np.intp)
     for k in range(n):
         ranks[:, k] = np.unique(arr[:, k], return_inverse=True)[1]
-    if deadline is not None:
-        deadline.check()
+    deadline.check()
     size = int(ranks.max()) + 1
-    index = DominanceIndex(n, size)
     keep = np.zeros(len(arr), dtype=bool)
-    for lo in range(0, len(arr), _SWEEP_ROWS):
-        if deadline is not None:
+    todo = np.arange(len(arr))  # rows of the next pass, in sum order
+    while len(todo):
+        index = DominanceIndex(n, size)
+        full = False
+        waiting = []
+        for lo in range(0, len(todo), _SWEEP_ROWS):
             deadline.check()
-        hi = min(lo + _SWEEP_ROWS, len(arr))
-        batch = ranks[lo:hi]
-        fresh = ~index.any_dominator(batch)
-        if sums[lo] != sums[hi - 1]:
-            # Rows of smaller sum in the same batch may bound later ones;
-            # rows are distinct, so <= here is strict dominance.
-            rows = np.flatnonzero(fresh)
-            sub = batch[rows].T
-            below = sub[0, :, None] <= sub[0]
-            for col in sub[1:]:
-                below &= col[:, None] <= col
-            np.fill_diagonal(below, False)
-            fresh[rows[below.any(axis=0)]] = False
-        keep[lo:hi] = fresh
-        # The index takes n * size bits per kept vector, up to twice that
-        # with the slack of its geometric growth.  Once the kept vectors
-        # would overrun the budget, test the rest row by row in memory for
-        # the rows alone.
-        count = index.count + int(fresh.sum())
-        if n * size * count // 4 > _INDEX_BYTES:
-            rest = np.concatenate((arr[:hi][keep[:hi]], arr[hi:]))
-            return _sorted_tuples(_pareto_min_rows(rest, count, deadline))
-        index.add(batch[fresh])
-    return _sorted_tuples(arr[keep])
-
-
-def _pareto_min_rows(
-    arr: np.ndarray, count: int, deadline: Deadline | None
-) -> np.ndarray:
-    """Minimal rows of a sum-sorted, duplicate-free array whose first
-    ``count`` rows are known minimal, one row at a time, kept by moving
-    them to the front of ``arr``."""
-    for row in range(count, len(arr)):
-        if deadline is not None and row % _SWEEP_ROWS == 0:
-            deadline.check()
-        if count and bool((arr[:count] <= arr[row]).all(axis=1).any()):
-            continue
-        arr[count] = arr[row]
-        count += 1
-    return arr[:count]
-
-
-def _sorted_tuples(arr: np.ndarray) -> BasisList:
-    import numpy as np
-
-    return [tuple(row) for row in arr[np.lexsort(arr.T[::-1])].tolist()]
+            rows = todo[lo : lo + _SWEEP_ROWS]
+            batch = ranks[rows]
+            fresh = ~index.any_dominator(batch)
+            if sums[rows[0]] != sums[rows[-1]]:
+                # Rows of smaller sum in the same batch may bound later ones;
+                # rows are distinct, so <= here is strict dominance.
+                live = np.flatnonzero(fresh)
+                sub = batch[live].T
+                below = sub[0, :, None] <= sub[0]
+                for col in sub[1:]:
+                    below &= col[:, None] <= col
+                np.fill_diagonal(below, False)
+                fresh[live[below.any(axis=0)]] = False
+            full = full or (
+                index.count > 0 and index.peak_bytes(int(fresh.sum())) > _INDEX_BYTES
+            )
+            if full:
+                waiting.append(rows[fresh])
+            else:
+                keep[rows[fresh]] = True
+                index.add(batch[fresh])
+        todo = np.concatenate(waiting) if waiting else todo[:0]
+    kept = arr[keep]
+    return [tuple(row) for row in kept[np.lexsort(kept.T[::-1])].tolist()]
 
 
 class DominanceIndex:
@@ -401,6 +390,15 @@ class DominanceIndex:
         self.masks = np.zeros((n, size, 1), dtype=np.uint64)
         # bit[j] has bit j alone set: the mask of vector id j within its word.
         self.bit = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+    def peak_bytes(self, added: int) -> int:
+        """Bytes the masks take at most while ``added`` more vectors are
+        indexed: growing keeps the old masks alive beside the grown ones."""
+        n, size, capacity = self.masks.shape
+        stop = (self.count + added + 63) >> 6
+        if stop > capacity:
+            capacity += max(stop, 2 * capacity)
+        return n * size * capacity * 8
 
     def add(self, rows: np.ndarray) -> None:
         """Index the vectors in ``rows`` (one per row), however few: set each

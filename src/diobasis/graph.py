@@ -327,7 +327,7 @@ def graph_solve(
         _solve,
         frontier_cap,
         stats if stats is not None else GraphStats(),
-        Deadline.maybe(time_limit),
+        Deadline(time_limit),
         check_invariants,
     )
 
@@ -336,7 +336,7 @@ def _solve(
     w: WeightVector,
     frontier_cap: int,
     stats: GraphStats,
-    deadline: Deadline | None,
+    deadline: Deadline,
     check_invariants: bool,
 ) -> BasisList:
     search = _Search(w, stats, check_invariants)
@@ -348,8 +348,7 @@ def _solve(
         width = len(walks) if wide is None else len(wide[0])
         if not width:
             break
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         stats.levels += 1
         stats.max_frontier = max(stats.max_frontier, width)
         if width > frontier_cap:

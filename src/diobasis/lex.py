@@ -18,6 +18,7 @@ whose solutions all lie above a found (x, 0, 0) solution.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Sequence
@@ -90,12 +91,12 @@ def lex_solve(
         _solve,
         variant,
         stats if stats is not None else LexStats(),
-        Deadline.maybe(time_limit),
+        Deadline(time_limit),
     )
 
 
 def _solve(
-    w: WeightVector, variant: LexVariant, stats: LexStats, deadline: Deadline | None
+    w: WeightVector, variant: LexVariant, stats: LexStats, deadline: Deadline
 ) -> BasisList:
     basis: BasisList = []
 
@@ -125,7 +126,7 @@ def prefix_walk(
     assigned: list[int],
     *,
     stats: Any,
-    deadline: Deadline | None,
+    deadline: Deadline,
     bound: BoundKind = BoundKind.LAMBERT,
     floors: list[tuple[Solution, int]] | None = None,
 ) -> None:
@@ -189,25 +190,24 @@ def prefix_walk(
     filed blocker bounds it.
     """
     weights = w.w
-    lambert = bound is BoundKind.LAMBERT
     ordered = [weights[i] for i in order]
     m = len(ordered)
     stop = m - tail
 
-    # Suffix envelopes over order[j:].  Budgeted variant: the largest weight
-    # magnitude per sign (budget * largest weight still placeable).
-    # Per-coordinate variant: the most the remaining positions can add to /
-    # subtract from the defect.
+    # Both flavours bound the defect shift of the remaining positions
+    # order[j:] by pos_budget * hi_from[j] up and neg_budget * lo_from[j]
+    # down.  Lambert spends its shared per-side budgets as the walk goes, so
+    # the envelopes are the largest weight magnitude per sign.  Huet's
+    # per-coordinate caps are budgets the walk never spends, max_b per
+    # positive and max_a per negative position, so the envelopes sum.
+    spend = int(bound is BoundKind.LAMBERT)
+    envelope = max if spend else operator.add
     hi_from = [0] * (m + 1)
     lo_from = [0] * (m + 1)
     for j in range(m - 1, -1, -1):
         wj = ordered[j]
-        if lambert:
-            hi_from[j] = max(hi_from[j + 1], wj if wj > 0 else 0)
-            lo_from[j] = max(lo_from[j + 1], -wj if wj < 0 else 0)
-        else:
-            hi_from[j] = hi_from[j + 1] + (wj * w.max_b if wj > 0 else 0)
-            lo_from[j] = lo_from[j + 1] + (wj * w.max_a if wj < 0 else 0)
+        hi_from[j] = envelope(hi_from[j + 1], max(wj, 0))
+        lo_from[j] = envelope(lo_from[j + 1], max(-wj, 0))
 
     # The floors are tested at order[floor_from:stop], the enumerated
     # positions of the negative suffix; without floors, nowhere.
@@ -220,7 +220,7 @@ def prefix_walk(
 
     def walk(j: int, d: int, pos_budget: int, neg_budget: int) -> None:
         stats.prefixes += 1
-        if deadline is not None and stats.prefixes % 1024 == 0:
+        if not stats.prefixes % 1024:
             deadline.check()
         if j == stop:
             leaf(d, pos_budget, neg_budget)
@@ -230,23 +230,22 @@ def prefix_walk(
         pos = order[j]
         wj = ordered[j]
         cap = pos_budget if wj > 0 else neg_budget
+        # Per value, a spent budget falls by one on wj's side.
+        pos_step, neg_step = (spend, 0) if wj > 0 else (0, spend)
+        hi_next, lo_next = hi_from[j + 1], lo_from[j + 1]
         floored = j >= floor_from
         dv = d
+        pb, nb = pos_budget, neg_budget
         for value in range(cap + 1):
             if value:
                 dv += wj
+                pb -= pos_step
+                nb -= neg_step
             assigned[pos] = value
             # Remaining positions can shift the defect by at most [lo, hi];
             # once 0 falls outside, larger values only push further out.
-            if lambert:
-                pb = pos_budget - value if wj > 0 else pos_budget
-                nb = neg_budget - value if wj < 0 else neg_budget
-                hi = pb * hi_from[j + 1]
-                lo = -nb * lo_from[j + 1]
-            else:
-                pb, nb = pos_budget, neg_budget
-                hi = hi_from[j + 1]
-                lo = lo_from[j + 1]
+            hi = pb * hi_next
+            lo = -nb * lo_next
             if wj > 0 and dv + lo > 0:
                 break
             if wj < 0 and dv + hi < 0:

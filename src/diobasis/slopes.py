@@ -105,7 +105,7 @@ def solve3_general(
     *,
     x_cap: int | None = None,
     yz_cap: int | None = None,
-    deadline: Deadline | None = None,
+    deadline: Deadline = Deadline(None),
     stats: SlopesStats | None = None,
 ) -> BasisList:
     """Minimal natural solutions of a*x = b*y + c*z + v, by descent.
@@ -167,7 +167,7 @@ def solve3_general(
     steps = 0
     while rhs > 0 and z <= z_top:
         steps += 1
-        if deadline is not None and not steps & 4095:
+        if not steps & 4095:
             deadline.check()
         y_floor = -(-rhs // b)  # x >= 0 needs b*y >= rhs
         lifted = y
@@ -208,7 +208,7 @@ def solve3_general(
             if z > z_top:
                 break
             steps += 1
-            if deadline is not None and not steps & 4095:
+            if not steps & 4095:
                 deadline.check()
     staircase.sort()
     if stats is not None:
@@ -216,7 +216,7 @@ def solve3_general(
     return staircase
 
 
-def slopes3(a: int, b: int, c: int, deadline: Deadline | None = None) -> BasisList:
+def slopes3(a: int, b: int, c: int, deadline: Deadline = Deadline(None)) -> BasisList:
     """Minimal natural solutions of a*x = b*y + c*z, sorted: the residual
     descent ``solve3_general`` at v = 0, which skips the all-zero vector."""
     return solve3_general(a, b, c, 0, deadline=deadline)
@@ -253,11 +253,11 @@ def slopes_solve(
         problem,
         _solve,
         stats if stats is not None else SlopesStats(),
-        Deadline.maybe(time_limit),
+        Deadline(time_limit),
     )
 
 
-def _solve(w: WeightVector, stats: SlopesStats, deadline: Deadline | None) -> BasisList:
+def _solve(w: WeightVector, stats: SlopesStats, deadline: Deadline) -> BasisList:
     if len(w) < 3:
         return _lex_solve(w, DEFAULT_VARIANT, LexStats(), deadline)
     if len(w.negative_positions) < 2:
@@ -281,8 +281,7 @@ def _solve(w: WeightVector, stats: SlopesStats, deadline: Deadline | None) -> Ba
     assigned = [0] * n
 
     def solve_tail(d: int, pos_budget: int, neg_budget: int) -> None:
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         if d:
             stats.residuals_scan += 1
             if d < 0 and not d % a and -d // a <= pos_budget:

@@ -1,5 +1,6 @@
 """Core types, dominance machinery, shared arithmetic, and the oracle."""
 
+import functools
 import itertools
 import math
 import random
@@ -40,7 +41,7 @@ from diobasis.core import (
 from diobasis.bench import SOLVERS
 from diobasis.completion import CompletionStats
 from diobasis.graph import GraphStats, graph_solve
-from diobasis.lex import LexStats
+from diobasis.lex import ALL_VARIANTS, LexStats, lex_solve
 from diobasis.slopes import SlopesStats
 
 EQ6 = Equation((104, 167), (165, 154, 148, 159, 174, 150))
@@ -336,16 +337,42 @@ class TestParetoMin:
         assert set(antichain) <= set(got)
         assert not set(shadows) & set(got)
 
-    def test_row_path_matches_python_path(self, monkeypatch):
-        # Past the index budget the sweep tests one row at a time.
-        monkeypatch.setattr(core, "_INDEX_BYTES", 0)
-        vecs = [(i % 7, (i * 3) % 5, (i * 5) % 11) for i in range(700)]
-        vecs += [(i, 300 - i, 0) for i in range(300)]
-        assert pareto_min(vecs) == pareto_reference(vecs)
+    @pytest.fixture
+    def indexes(self, monkeypatch):
+        """Every ``DominanceIndex`` pareto_min builds, each with the bytes
+        its old and grown masks took together at each growth."""
+        built = []
 
-    def test_budget_counts_kept_rows_only(self, monkeypatch):
+        class Recording(core.DominanceIndex):
+            def __init__(self, n, size):
+                super().__init__(n, size)
+                self.growths = []
+                built.append(self)
+
+            def add(self, rows):
+                old = self.masks
+                super().add(rows)
+                if self.masks is not old:
+                    self.growths.append(old.nbytes + self.masks.nbytes)
+
+        monkeypatch.setattr(core, "DominanceIndex", Recording)
+        return built
+
+    def test_pass_per_batch_matches_python_path(self, monkeypatch, indexes):
+        # With no budget each pass keeps its first batch alone.  The cloud
+        # has one minimal row, (1, 1, 1), and bounds no antichain row.
+        monkeypatch.setattr(core, "_INDEX_BYTES", 0)
+        vecs = [(1 + i % 7, 1 + (i * 3) % 5, 1 + (i * 5) % 11) for i in range(700)]
+        vecs += [(i, 300 - i, 0) for i in range(300)]
+        expected = pareto_reference(vecs)
+        assert len(expected) == 301
+        assert pareto_min(vecs) == expected
+        assert len(indexes) >= 3
+
+    def test_budget_counts_kept_rows_only(self, monkeypatch, indexes):
         # 1,519 rows, 13 of them minimal (a + b == 14, c == 1): the index
-        # of the kept rows fits a budget that all rows together would pass.
+        # of the kept rows fits a budget that all rows together would pass,
+        # so one pass decides every row.
         vecs = [
             (a, b, c)
             for a in range(1, 15)
@@ -355,35 +382,35 @@ class TestParetoMin:
         ]
         kept = pareto_reference(vecs)
         n, size = 3, 14
-        budget = 2 * n * size * len(kept) // 4
-        assert len(kept) == 13 and budget < n * size * len(vecs) // 4
-
-        def rows(*args):
-            pytest.fail("pareto_min took the row path though the kept rows fit")
-
+        budget = n * size * 8  # one word per value: 64 kept vectors
+        assert len(kept) == 13 and budget < n * size * len(vecs) // 8
         monkeypatch.setattr(core, "_INDEX_BYTES", budget)
-        monkeypatch.setattr(core, "_pareto_min_rows", rows)
         assert pareto_min(vecs) == kept
+        assert len(indexes) == 1
 
-    def test_budget_overflow_mid_sweep(self, monkeypatch):
-        # The kept rows pass the budget halfway through the sweep, and the
-        # row path finishes from the kept rows and the rows not yet swept.
+    def test_budget_overflow_mid_sweep(self, monkeypatch, indexes):
+        # The kept rows pass the budget partway through the sweep, and
+        # later passes decide the rows that waited.
         rng = random.Random(4)
         vecs = list({tuple(rng.randint(0, 40) for _ in range(3)) for _ in range(3000)})
         expected = pareto_reference(vecs)
         size = max(len(set(col)) for col in zip(*vecs))
         monkeypatch.setattr(core, "_INDEX_BYTES", 3 * size * len(expected) // 8)
-        seen = []
-        rows = core._pareto_min_rows
-
-        def spy(arr, count, deadline):
-            seen.append((count, len(arr)))
-            return rows(arr, count, deadline)
-
-        monkeypatch.setattr(core, "_pareto_min_rows", spy)
         assert pareto_min(vecs) == expected
-        [(count, rows_left)] = seen
-        assert 0 < count < len(expected) < rows_left < len(vecs)
+        assert len(indexes) >= 2
+
+    def test_budget_bounds_the_growth_peak(self, monkeypatch, indexes):
+        # 700 incomparable rows of 700 distinct values per column take
+        # 16,800 B per word of 64 rows.  A budget of 20 words lets the
+        # masks grow 1 -> 2 -> 4 -> 8 words (12 words while the last growth
+        # copies), but not to 16, which would hold 8 + 16 words at once.
+        vecs = [(i, 700 - i, 700 - i) for i in range(700)]
+        budget = 3 * 700 * 8 * 20
+        monkeypatch.setattr(core, "_INDEX_BYTES", budget)
+        assert pareto_min(vecs) == sorted(vecs)
+        peaks = [peak for index in indexes for peak in index.growths]
+        assert peaks and max(peaks) <= budget
+        assert len(indexes) >= 2
 
     def test_numpy_path_checks_the_deadline_before_ranking(self, monkeypatch):
         # Building, sorting and ranking half a million vectors takes most of
@@ -400,12 +427,19 @@ class TestParetoMin:
         with pytest.raises(TimeLimitError):
             pareto_min(vecs, deadline=ExpiredDeadline())
 
-    @pytest.mark.parametrize("budget", [core._INDEX_BYTES, 0], ids=["index", "rows"])
+    @pytest.mark.parametrize("budget", [core._INDEX_BYTES, 0], ids=["index", "passes"])
     def test_numpy_path_honours_deadline(self, monkeypatch, budget):
         monkeypatch.setattr(core, "_INDEX_BYTES", budget)
         vecs = [(i, 600 - i) for i in range(600)]
         with pytest.raises(TimeLimitError):
             pareto_min(vecs, deadline=Deadline(-1.0))
+
+
+class TestDeadline:
+    def test_none_never_expires_and_negative_expires_at_once(self):
+        Deadline(None).check()
+        with pytest.raises(TimeLimitError):
+            Deadline(-1.0).check()
 
 
 class TestBounds:
@@ -573,6 +607,32 @@ class TestFrontDoor:
         with pytest.raises(TimeLimitError):
             SOLVERS[name](parse_equation("855 = 498 830 850 987 1021"), time_limit=0.3)
         assert time.perf_counter() - start < 0.3 + 0.5
+
+    @pytest.mark.parametrize("name", SOLVERS)
+    def test_nan_time_limit_is_rejected(self, name):
+        # No comparison with NaN is true, so it would never expire.
+        with pytest.raises(ValueError):
+            SOLVERS[name](parse_equation("855 = 498 830 850 987 1021"), time_limit=math.nan)
+
+    # Every solver configuration: each entry of SOLVERS, lex in all four
+    # variants.
+    CONFIGS = {
+        **{name: solve for name, solve in SOLVERS.items() if name != "lex"},
+        **{
+            f"lex_{v.bound.value}_{v.tail.value}": functools.partial(lex_solve, variant=v)
+            for v in ALL_VARIANTS
+        },
+    }
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_deadline_overrun_is_bounded(self, name):
+        # The raise comes within max(0.5 s, 5%) of the limit.
+        limit = 0.5
+        start = time.perf_counter()
+        with pytest.raises(TimeLimitError):
+            self.CONFIGS[name](parse_equation("855 = 498 830 850 987 1021"), time_limit=limit)
+        assert time.perf_counter() - start - limit <= max(0.5, 0.05 * limit)
 
     @pytest.mark.parametrize("name", SOLVERS)
     def test_weights_at_the_limit_are_accepted(self, name):
