@@ -305,8 +305,10 @@ _FILL_ROWS = 1 << 16
 # Rows swept per index test and insert.  An insert costs a pass over the
 # value axis whatever it adds, so batches share it among many vectors.
 _SWEEP_ROWS = 128
-# Bound on the candidates x words x 8 B temporary of one dominance test.
-_TEST_CHUNK_BYTES = 1 << 23
+# Bound on the candidates x capacity x 8 B rows one dominance test gathers
+# per chunk.  At 256 KB the accumulator and the rows gathered into it stay
+# in a core's L2 cache across the n ANDs of a chunk.
+_TEST_CHUNK_BYTES = 1 << 18
 # Largest bitset index, growth included, one sweep pass may build.
 _INDEX_BYTES = 1 << 28
 
@@ -426,22 +428,29 @@ class DominanceIndex:
         self.count += len(rows)
 
     def any_dominator(self, cands: np.ndarray) -> np.ndarray:
-        """Per candidate row: is some indexed vector dominated by or equal to it?"""
+        """Per candidate row: is some indexed vector dominated by or equal to it?
+
+        The candidates' columns are cast to ``intp`` once, and each chunk
+        gathers its rows with ``take`` from the whole contiguous plane
+        ``masks[k]``: words past ``count`` are zero, so they add nothing.
+        The in-use view ``masks[:, :, :words]`` is not contiguous once the
+        capacity exceeds the words in use, and ``take`` on it copies the
+        whole view per call.
+        """
         import numpy as np
 
         if not self.count or not len(cands):
             return np.zeros(len(cands), dtype=bool)
-        words = (self.count + 63) >> 6
-        masks = self.masks[:, :, :words]
-        step = max(1, _TEST_CHUNK_BYTES // (8 * words))
-        hits = []
+        masks = self.masks
+        cols = np.ascontiguousarray(cands.T, dtype=np.intp)
+        step = max(1, _TEST_CHUNK_BYTES // (8 * masks.shape[2]))
+        hits = np.empty(len(cands), dtype=bool)
         for lo in range(0, len(cands), step):
-            chunk = cands[lo : lo + step]
-            acc = masks[0, chunk[:, 0]]
+            acc = masks[0].take(cols[0, lo : lo + step], axis=0)
             for k in range(1, len(masks)):
-                acc &= masks[k, chunk[:, k]]
-            hits.append(acc.any(axis=1))
-        return hits[0] if len(hits) == 1 else np.concatenate(hits)
+                acc &= masks[k].take(cols[k, lo : lo + step], axis=0)
+            hits[lo : lo + step] = acc.any(axis=1)
+        return hits
 
 
 class DominanceBuckets:

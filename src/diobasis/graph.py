@@ -26,12 +26,15 @@ of at most ``NARROW_FRONTIER`` walks, while the search has found at most
 completion procedure's own step, ``completion.completion_step``, each walk a
 tuple of label counts carried with its defect as an int, so a deep search of
 thin levels costs per walk, not per level.  Every other level is expanded in
-vectorized passes over an int32 array of walks and an array of their
-defects, a child's defect its parent's plus the weight of its label.  Both
-paths apply the same scan rule to the same seeds,
-``completion.initial_proposals``.  The label arrays and the bitset index are
-built on the first wide level, so a search of narrow levels alone runs
-without numpy.
+vectorized passes over an int32 array of walks, an array of their defects
+and, per walk and side, its scan cut: the scan position of the walk's first
+used label on that side, up to which the scan rule expands it.  A child's
+defect is its parent's plus the weight of its label, and its cuts are its
+parent's but on the side it grew, where its label is now the first used
+one, so a wide level never rescans its rows.  Both paths apply the same
+scan rule to the same seeds, ``completion.initial_proposals``.  The label
+arrays and the bitset index are built on the first wide level, so a search
+of narrow levels alone runs without numpy.
 
 A narrow level tests each child as it is made.  The child c = x + e_i
 extends a walk x that survived the prune one level earlier, so a found
@@ -45,15 +48,19 @@ wide level would pay n bucket appends, so the search drops them and expands
 every later level in vectorized passes, however narrow.  Once built, the
 ``DominanceIndex`` takes every solution found before it, in the order they
 were found, and then each level's emissions as the level ends, on either
-path.
+path.  A wide level tests all its children, solutions included, before it
+indexes its emissions, so one mask drops both the solutions and the bounded
+children: an emission bounding a child of its own level would share its
+coordinate sum and so equal it, which a child of nonzero defect cannot.
 
 The scan rule makes duplicate walks impossible, and emissions within a
 level share a coordinate sum, so they never dominate each other or an
 earlier solution.  The search therefore does not test for either, nor for
 side sums.  ``check_invariants=True`` runs the same prunes and raises
 ``AssertionError`` on a duplicate walk or emission within a level, an
-emission bounded by an earlier solution, a child over a side-sum cap, or a
-bucket verdict that the bitset index contradicts.
+emission bounded by an earlier solution, a child over a side-sum cap, a
+carried scan cut that differs from the one its row gives, or a bucket
+verdict that the bitset index contradicts.
 """
 
 from __future__ import annotations
@@ -149,13 +156,16 @@ class _Search:
     solutions found so far and their dominance indexes.
 
     A level is expanded by ``narrow_level`` on a list of walk tuples, with
-    ``completion_step`` and the bucket test, or by ``wide_level`` on an int32
-    array of label counts with the walks' defects and the bitset test; both
-    apply the same scan rule.  The ndarray side (``weights``,
-    ``label_arrays``, ``positive`` and ``index``) is built by
-    ``build_arrays`` on the first wide level.  With ``check`` it is built at
-    the start, since the audits read the bitset, and both paths also raise
-    ``AssertionError`` on a broken invariant (module docstring).
+    ``completion_step`` and the bucket test, or by ``wide_level`` on a level
+    state of three arrays, the walks' int32 label counts, their defects and
+    their scan cuts (``scan_cuts``), with the bitset test; both apply the
+    same scan rule.  ``to_rows`` turns walks into a level state, computing
+    the cuts once, and ``to_walks`` drops them.  The ndarray side
+    (``weights``, ``label_arrays``, ``scan_table``, ``positive`` and
+    ``index``) is built by ``build_arrays`` on the first wide level.  With
+    ``check`` it is built at the start, since the audits read the bitset,
+    and both paths also raise ``AssertionError`` on a broken invariant
+    (module docstring).
     """
 
     def __init__(self, w: WeightVector, stats: GraphStats, check: bool):
@@ -178,7 +188,11 @@ class _Search:
 
         w = self.w
         self.weights = np.array(w.w, dtype=np.int32)
-        self.label_arrays = [np.array(order, dtype=np.int64) for order in w.scan_orders]
+        self.label_arrays = [np.array(order, dtype=np.intp) for order in w.scan_orders]
+        # Row s holds side s's labels in scan order, padded to a common width.
+        self.scan_table = np.zeros((2, max(map(len, w.scan_orders))), dtype=np.intp)
+        for side, labels in zip(self.scan_table, self.label_arrays):
+            side[: len(labels)] = labels
         self.positive = self.weights > 0
         # A child's side sums stay within the per-side caps (module
         # docstring), so every coordinate is at most max(max_a, max_b).
@@ -186,17 +200,35 @@ class _Search:
         if self.solutions:
             self.index.add(np.array(self.solutions, dtype=np.int32))
 
-    def to_walks(self, rows: np.ndarray, defects: np.ndarray) -> list[Walk]:
+    def to_walks(
+        self, rows: np.ndarray, defects: np.ndarray, cuts: np.ndarray
+    ) -> list[Walk]:
         return list(zip(map(tuple, rows.tolist()), defects.tolist()))
 
-    def to_rows(self, walks: list[Walk]) -> tuple[np.ndarray, np.ndarray]:
-        """The walks as a wide level: int32 label counts and defects."""
+    def to_rows(self, walks: list[Walk]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The walks as a wide level: int32 label counts, defects and scan
+        cuts."""
         import numpy as np
 
         if self.index is None:
             self.build_arrays()
         counts, defects = zip(*walks)
-        return np.array(counts, dtype=np.int32), np.array(defects, dtype=np.int32)
+        rows = np.array(counts, dtype=np.int32)
+        return rows, np.array(defects, dtype=np.int32), self.scan_cuts(rows)
+
+    def scan_cuts(self, rows: np.ndarray) -> np.ndarray:
+        """Per row and side (0 positive, 1 negative), the scan position of
+        the row's first used label on that side, or the side's last position
+        if it uses none: the scan rule expands that side at positions up to
+        and including it."""
+        import numpy as np
+
+        cuts = np.empty((len(rows), 2), dtype=np.intp)
+        for side, labels in enumerate(self.label_arrays):
+            used = rows[:, labels] > 0
+            used[:, -1] = True
+            cuts[:, side] = used.argmax(axis=1)
+        return cuts
 
     def emit(self, new: list[Solution], rows: np.ndarray | None = None) -> None:
         """Record a level's emissions, given as tuples and, from a wide level,
@@ -260,48 +292,51 @@ class _Search:
         return proposals
 
     def wide_level(
-        self, frontier: np.ndarray, defects: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Expand a level in vectorized passes; returns the next level."""
+        self, rows: np.ndarray, defects: np.ndarray, cuts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Expand a level in vectorized passes; returns the next level.
+
+        A walk of defect d < 0 (> 0) grows on its positive (negative) side
+        at scan positions 0 .. its cut there, so one ``np.repeat`` over the
+        walks makes every child.  A child made at position j has cut j on
+        that side and its parent's cut on the other.  One dominance test
+        over all children and one compaction follow, and the emissions are
+        indexed last: none of them can bound a child of their own level
+        (module docstring).
+        """
         import numpy as np
 
-        chunks = []
-        chunk_defects = []
-        pos_desc, neg_desc = self.label_arrays
-        for labels_desc, rows in ((pos_desc, defects < 0), (neg_desc, defects > 0)):
-            group = frontier[rows]
-            if not len(group):
-                continue
-            m = len(labels_desc)
-            used = group[:, labels_desc] > 0
-            has_used = used.any(axis=1)
-            first_used = used.argmax(axis=1)
-            cut = np.where(has_used, first_used, m - 1)
-            take = np.arange(m)[None, :] <= cut[:, None]
-            row_idx, label_pos = np.nonzero(take)
-            labels = labels_desc[label_pos]
-            children = group[row_idx]
-            children[np.arange(len(children)), labels] += 1
-            chunks.append(children)
-            chunk_defects.append(defects[rows][row_idx] + self.weights[labels])
+        walk = np.arange(len(rows))
+        # 0 where a walk grows a positive label (d < 0), 1 a negative one.
+        side = (defects > 0).view(np.int8)
+        counts = cuts[walk, side] + 1
+        parent = np.repeat(walk, counts)
+        child = np.arange(len(parent))
+        pos = child - np.repeat(np.cumsum(counts) - counts, counts)
+        child_side = side[parent]
+        labels = self.scan_table[child_side, pos]
+        children = rows[parent]
+        children[child, labels] += 1
+        child_defects = defects[parent] + self.weights[labels]
+        child_cuts = cuts[parent]
+        child_cuts[child, child_side] = pos
+        if self.check and not np.array_equal(self.scan_cuts(children), child_cuts):
+            raise AssertionError("scan cut differs from the one its row gives")
 
-        children = np.vstack(chunks)
-        child_defects = np.concatenate(chunk_defects)
         self.stats.children += len(children)
         is_solution = child_defects == 0
-        emitted = children[is_solution]
-        if len(emitted):
+        keep = ~(is_solution | self.index.any_dominator(children))
+        solutions = int(is_solution.sum())
+        if solutions:
+            emitted = children[is_solution]
             self.emit(list(map(tuple, emitted.tolist())), emitted)
-        live = ~is_solution
-        proposals = children[live]
         if self.check:
-            self.audit_caps(proposals)
-        keep = ~self.index.any_dominator(proposals)
-        proposals = proposals[keep]
-        self.stats.pruned_dominated += len(keep) - len(proposals)
-        if self.check and len(np.unique(proposals, axis=0)) < len(proposals):
+            self.audit_caps(children[~is_solution])
+        rows, defects, cuts = children[keep], child_defects[keep], child_cuts[keep]
+        self.stats.pruned_dominated += len(children) - solutions - len(rows)
+        if self.check and len(np.unique(rows, axis=0)) < len(rows):
             raise AssertionError("duplicate walk; scan rule violated")
-        return proposals, child_defects[live][keep]
+        return rows, defects, cuts
 
 
 def graph_solve(
@@ -317,10 +352,11 @@ def graph_solve(
 
     With ``check_invariants`` the search runs the same prunes and raises
     ``AssertionError`` on a duplicate walk or emission, an emission bounded
-    by an earlier solution, a child over a side-sum cap, or a bucket verdict
-    that the bitset index contradicts; the scan rule, the equal-sum argument,
-    the revisit argument and the bucket argument prove none of that can
-    fire, so by default the search does not pay for it.
+    by an earlier solution, a child over a side-sum cap, a carried scan cut
+    that differs from its row's, or a bucket verdict that the bitset index
+    contradicts; the scan rule, the equal-sum argument, the revisit argument
+    and the bucket argument prove none of that can fire, so by default the
+    search does not pay for it.
     """
     return solve_normalized(
         problem,
@@ -343,7 +379,8 @@ def _solve(
 
     # One-sided seeding, as in the completion procedure.
     walks = initial_proposals(w)
-    wide = None  # (rows, defects) while the frontier is wide; walks is then stale
+    # (rows, defects, cuts) while the frontier is wide; walks is then stale.
+    wide = None
     while True:
         width = len(walks) if wide is None else len(wide[0])
         if not width:

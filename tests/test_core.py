@@ -42,7 +42,7 @@ from diobasis.bench import SOLVERS
 from diobasis.completion import CompletionStats
 from diobasis.graph import GraphStats, graph_solve
 from diobasis.lex import ALL_VARIANTS, LexStats, lex_solve
-from diobasis.slopes import SlopesStats
+from diobasis.slopes import SlopesStats, slopes_solve
 
 EQ6 = Equation((104, 167), (165, 154, 148, 159, 174, 150))
 
@@ -222,16 +222,18 @@ class TestDominanceIndex:
         # Batches of 1, 2 and more rows all take the one vectorized insert;
         # over 128 rows cross two 64-bit word boundaries and grow the
         # capacity twice.  At 16 bytes a test splits its candidates into
-        # chunks of one or two rows.
+        # chunks of one or two rows.  Candidates come as int32 rows, as graph
+        # passes them, and as intp ranks, as pareto_min passes them.
         row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
         rows = data.draw(st.lists(row, min_size=130, max_size=150))
         rows = np.array(rows, dtype=np.int32)
         cands = data.draw(st.lists(row, max_size=20))
         cands = np.array(cands, dtype=np.int32).reshape(-1, n)
+        batches = (cands, cands.astype(np.intp))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "_TEST_CHUNK_BYTES", chunk_bytes)
             index = core.DominanceIndex(n, 4)
-            assert not index.any_dominator(cands).any()
+            assert not any(index.any_dominator(c).any() for c in batches)
             lo = 0
             for size in itertools.cycle([1, 2, *sizes]):
                 if lo >= len(rows):
@@ -239,8 +241,19 @@ class TestDominanceIndex:
                 index.add(rows[lo : lo + size])
                 lo += size
                 expected = (rows[None, :lo] <= cands[:, None]).all(axis=2).any(axis=1)
-                assert index.any_dominator(cands).tolist() == expected.tolist()
+                for c in batches:
+                    assert index.any_dominator(c).tolist() == expected.tolist()
             assert index.any_dominator(cands[:0]).shape == (0,)
+
+    @pytest.mark.slow
+    def test_multi_pass_sweep_of_a_large_antichain(self):
+        # Slopes' final pareto_min keeps 16,384 rows of this antichain in a
+        # first pass and the rest in a second, whose index has more
+        # capacity than words.  A test that gathered from the strided
+        # in-use view of those masks copied the whole plane per call and
+        # took about three times as long.
+        basis = slopes_solve(parse_equation("40009 = 40008 40007"), time_limit=10)
+        assert len(basis) == 20006
 
 
 class TestDominanceBuckets:

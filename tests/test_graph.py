@@ -152,6 +152,24 @@ class TestGraphSolve:
             with pytest.raises(AssertionError, match="duplicate walk"):
                 graph_solve((3, 5, -7, -2), check_invariants=True)
 
+    def test_check_invariants_raises_on_a_wrong_scan_cut(self, monkeypatch):
+        # Cuts as if no walk used a label on either side: a seed's positive
+        # cut is then past its own label, which its children carry.
+        to_rows = graph._Search.to_rows
+
+        def cuts_of_unused_sides(self, walks):
+            rows, defects, cuts = to_rows(self, walks)
+            cuts[:] = [len(labels) - 1 for labels in self.label_arrays]
+            return rows, defects, cuts
+
+        monkeypatch.setattr(graph._Search, "to_rows", cuts_of_unused_sides)
+        eq = parse_equation("104 167 = 165 154 148")
+        for path in level_paths(monkeypatch):
+            if path == ("tuples", "buckets"):
+                continue  # every level is narrow: no level state is made
+            with pytest.raises(AssertionError, match="scan cut"):
+                graph_solve(eq, check_invariants=True)
+
     def test_frontier_cap(self):
         with pytest.raises(ResourceLimitError):
             graph_solve(Equation((104, 167), (165, 154, 148)), frontier_cap=4)
@@ -226,9 +244,9 @@ def events(monkeypatch):
         log.append("narrow")
         return narrow(self, walks)
 
-    def counted_wide(self, frontier, defects):
+    def counted_wide(self, *level):
         log.append("wide")
-        return wide(self, frontier, defects)
+        return wide(self, *level)
 
     monkeypatch.setattr(graph._Search, "build_arrays", counted_build)
     monkeypatch.setattr(graph._Search, "narrow_level", counted_narrow)
