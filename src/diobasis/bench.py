@@ -27,7 +27,7 @@ import subprocess
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import SOLVERS, __version__
 from .core import DiobasisError, Equation, TimeLimitError
@@ -162,15 +162,6 @@ def generate_class(
         seen.add(eq)
         tests.append(eq)
     return tests, regenerated
-
-
-def corpus_text(classes: Iterable[BenchClass], seed: int) -> str:
-    """Deterministic textual corpus: one equation per line, classes in order."""
-    lines = []
-    for bc in classes:
-        tests, _ = generate_class(bc, seed)
-        lines.extend(eq.text() for eq in tests)
-    return "\n".join(lines) + "\n"
 
 
 @dataclass

@@ -282,14 +282,14 @@ def pareto_min(
     against a :class:`DominanceIndex` of the vectors kept so far, survivors
     of different sums within the batch are compared with each other, and the
     rest join the index.  A pass keeps rows while its index, old and grown
-    masks together while it grows, fits ``_INDEX_BYTES``; after that every
-    fresh row is still tested against the full index but waits for the next
-    pass, which sweeps the waiting rows with a new index.  Sums only grow,
-    so nothing a later pass keeps bounds a row an earlier pass kept, and the
-    first batch of a pass is always kept, so every pass makes progress.
-    ``deadline`` is checked once per batch.  Only this path uses numpy,
-    which it imports on its first call, so a process whose calls stay at 512
-    vectors or fewer never loads it.
+    masks together while it grows by a quarter, fits ``_INDEX_BYTES``; after
+    that every fresh row is still tested against the full index but waits
+    for the next pass, which sweeps the waiting rows with a new index.  Sums
+    only grow, so nothing a later pass keeps bounds a row an earlier pass
+    kept, and the first batch of a pass is always kept, so every pass makes
+    progress.  ``deadline`` is checked once per batch.  Only this path uses
+    numpy, which it imports on its first call, so a process whose calls stay
+    at 512 vectors or fewer never loads it.
     """
     uniq = {tuple(v) for v in vectors}
     if len(uniq) > 512:
@@ -306,8 +306,9 @@ _FILL_ROWS = 1 << 16
 # value axis whatever it adds, so batches share it among many vectors.
 _SWEEP_ROWS = 128
 # Bound on the candidates x capacity x 8 B rows one dominance test gathers
-# per chunk.  At 256 KB the accumulator and the rows gathered into it stay
-# in a core's L2 cache across the n ANDs of a chunk.
+# per chunk, the capacity at most a quarter over the words in use plus one.
+# At 256 KB the accumulator and the rows gathered into it stay in a core's
+# L2 cache across the n ANDs of a chunk.
 _TEST_CHUNK_BYTES = 1 << 18
 # Largest bitset index, growth included, one sweep pass may build.
 _INDEX_BYTES = 1 << 28
@@ -382,6 +383,11 @@ class DominanceIndex:
     most v; ANDing the rows a candidate selects leaves exactly the indexed
     vectors that are dominated by or equal to it.
 
+    Words past the ceil(count / 64) in use are zero.  A growth adds a
+    quarter of the capacity, or what the insert needs if more, so capacity
+    stays within 1.25 times the words in use plus one: few recopies, and
+    little dead tail for a test that reads whole rows.
+
     Building an index imports numpy, which the package loads on first use.
     """
 
@@ -393,13 +399,19 @@ class DominanceIndex:
         # bit[j] has bit j alone set: the mask of vector id j within its word.
         self.bit = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
+    def grown(self, stop: int) -> int:
+        """Capacity in words after a growth to hold ``stop`` words."""
+        capacity = self.masks.shape[2]
+        return max(stop, capacity + capacity // 4)
+
     def peak_bytes(self, added: int) -> int:
         """Bytes the masks take at most while ``added`` more vectors are
-        indexed: growing keeps the old masks alive beside the grown ones."""
+        indexed: a growth keeps the old masks alive beside the grown ones,
+        sized by the same ``grown`` rule that ``add`` follows."""
         n, size, capacity = self.masks.shape
         stop = (self.count + added + 63) >> 6
         if stop > capacity:
-            capacity += max(stop, 2 * capacity)
+            capacity += self.grown(stop)
         return n * size * capacity * 8
 
     def add(self, rows: np.ndarray) -> None:
@@ -415,7 +427,7 @@ class DominanceIndex:
         first = self.count >> 6
         stop = int(ids[-1] >> 6) + 1
         if stop > capacity:
-            grown = np.zeros((n, size, max(stop, 2 * capacity)), dtype=np.uint64)
+            grown = np.zeros((n, size, self.grown(stop)), dtype=np.uint64)
             grown[:, :, :capacity] = self.masks
             self.masks = grown
         np.bitwise_or.at(
@@ -432,10 +444,12 @@ class DominanceIndex:
 
         The candidates' columns are cast to ``intp`` once, and each chunk
         gathers its rows with ``take`` from the whole contiguous plane
-        ``masks[k]``: words past ``count`` are zero, so they add nothing.
-        The in-use view ``masks[:, :, :words]`` is not contiguous once the
-        capacity exceeds the words in use, and ``take`` on it copies the
-        whole view per call.
+        ``masks[k]``.  Words past the ones in use are zero, so they add
+        nothing, and the growth rule keeps them under a quarter of a row
+        (class docstring).  The in-use view ``masks[:, :, :words]`` is not
+        contiguous once the capacity exceeds the words in use, and ``take``
+        on it copies the whole view per call.  A chunk ends with an OR
+        reduction of each accumulated row, which is cheaper than ``any``.
         """
         import numpy as np
 
@@ -449,7 +463,7 @@ class DominanceIndex:
             acc = masks[0].take(cols[0, lo : lo + step], axis=0)
             for k in range(1, len(masks)):
                 acc &= masks[k].take(cols[k, lo : lo + step], axis=0)
-            hits[lo : lo + step] = acc.any(axis=1)
+            hits[lo : lo + step] = np.bitwise_or.reduce(acc, axis=1) != 0
         return hits
 
 

@@ -332,7 +332,9 @@ class _Search:
             self.emit(list(map(tuple, emitted.tolist())), emitted)
         if self.check:
             self.audit_caps(children[~is_solution])
-        rows, defects, cuts = children[keep], child_defects[keep], child_cuts[keep]
+        live = np.flatnonzero(keep)
+        rows, defects = children.take(live, axis=0), child_defects.take(live)
+        cuts = child_cuts.take(live, axis=0)
         self.stats.pruned_dominated += len(children) - solutions - len(rows)
         if self.check and len(np.unique(rows, axis=0)) < len(rows):
             raise AssertionError("duplicate walk; scan rule violated")

@@ -16,7 +16,6 @@ from diobasis.bench import (
     SolverLaunchError,
     TimingPolicy,
     class_grid,
-    corpus_text,
     fmt_points,
     fmt_seconds_cell,
     generate_class,
@@ -101,10 +100,6 @@ class TestGenerateClass:
         assert a == b
         c, _ = generate_class(BenchClass(3, 4, 29), seed=100)
         assert a != c
-
-    def test_corpus_bytes_deterministic(self):
-        classes = [BenchClass(1, 2, 2), BenchClass(2, 2, 5)]
-        assert corpus_text(classes, 7) == corpus_text(classes, 7)
 
 
 class _ScriptedRunner:

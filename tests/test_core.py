@@ -245,6 +245,22 @@ class TestDominanceIndex:
                     assert index.any_dominator(c).tolist() == expected.tolist()
             assert index.any_dominator(cands[:0]).shape == (0,)
 
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 150), min_size=1, max_size=40))
+    def test_add_and_peak_bytes_share_one_growth_rule(self, sizes):
+        # peak_bytes(k) is what the next add of k rows holds at once: the
+        # old masks, plus the grown ones if it grows.  After every add the
+        # capacity is within a quarter of the words in use, plus one word.
+        n, size = 3, 5
+        index = core.DominanceIndex(n, size)
+        for k in sizes:
+            old = index.masks
+            peak = index.peak_bytes(k)
+            index.add(np.zeros((k, n), dtype=np.int32))
+            grown = index.masks.nbytes if index.masks is not old else 0
+            assert peak == old.nbytes + grown
+            assert index.masks.shape[2] <= 1.25 * ((index.count + 63) >> 6) + 1
+
     @pytest.mark.slow
     def test_multi_pass_sweep_of_a_large_antichain(self):
         # Slopes' final pareto_min keeps 16,384 rows of this antichain in a
@@ -414,9 +430,10 @@ class TestParetoMin:
 
     def test_budget_bounds_the_growth_peak(self, monkeypatch, indexes):
         # 700 incomparable rows of 700 distinct values per column take
-        # 16,800 B per word of 64 rows.  A budget of 20 words lets the
-        # masks grow 1 -> 2 -> 4 -> 8 words (12 words while the last growth
-        # copies), but not to 16, which would hold 8 + 16 words at once.
+        # 16,800 B per word of 64 rows, swept in batches of two words.  A
+        # budget of 20 words lets the masks grow 1 -> 2 -> 4 -> 6 -> 8 -> 10
+        # words (18 words while the last growth copies), but not to 12 for
+        # the last 60 rows, which would hold 10 + 12 words at once.
         vecs = [(i, 700 - i, 700 - i) for i in range(700)]
         budget = 3 * 700 * 8 * 20
         monkeypatch.setattr(core, "_INDEX_BYTES", budget)

@@ -141,6 +141,17 @@ class TestGraphSolve:
                 w = random_weights(rng, 11, 5)
                 graph_solve(w.w, check_invariants=True)
 
+    def test_wide_levels_past_the_bucket_cap_are_clean(self):
+        # EQ6, the showcase, finds 5,510 solutions and expands levels of up to
+        # 9,822 walks past the bucket cap.  Each wide level compacts its
+        # rows, defects and cuts with one index array; one taken out of
+        # step would trip the next level's scan-cut audit or change the
+        # basis.
+        stats = GraphStats()
+        basis = graph_solve(EQ6, stats=stats)
+        assert (len(basis), stats.max_frontier) == (5510, 9822)
+        assert graph_solve(EQ6, check_invariants=True) == basis
+
     def test_check_invariants_raises_on_two_sided_seeds(self, monkeypatch):
         # Seeded on both sides, the search builds solutions from both ends.
         def both_sides(w):
