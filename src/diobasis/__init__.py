@@ -26,12 +26,10 @@ from .core import (
     build_weights,
     defect,
     dominates,
-    ext_gcd,
     format_basis,
     oracle_basis,
     pareto_min,
     parse_equation,
-    shared_weights,
     solve_normalized,
 )
 from .lex import (
@@ -48,7 +46,6 @@ from .completion import (
     completion_step,
 )
 from .graph import (
-    DefectGraph,
     build_defect_graph,
     graph_solve,
     render_adjacency,

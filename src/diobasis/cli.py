@@ -17,6 +17,7 @@ from .core import (
     DiobasisError,
     Equation,
     EquationFormatError,
+    build_weights,
     format_basis,
     oracle_basis,
     oracle_box_size,
@@ -94,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_equation_input(verify)
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--time-limit", type=_seconds(zero_ok=False), metavar="S")
-    verify.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
+    verify.add_argument("--oracle-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP,
                         help="skip the oracle when the search box exceeds this many vectors")
 
     gen = sub.add_parser("gen", help="emit the 10 seeded tests of a benchmark class")
@@ -148,7 +149,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return 0
     eq = _read_equation(args)
     if args.emit_graph:
-        Path(args.emit_graph).write_text(render_adjacency(build_defect_graph(eq.weights())) + "\n")
+        graph = build_defect_graph(build_weights(eq))
+        Path(args.emit_graph).write_text(render_adjacency(graph) + "\n")
     options = {}
     if args.algo == "lex":
         options["variant"] = LexVariant(BoundKind(args.bound), TailKind(args.tail))
@@ -298,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     except EquationFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DiobasisError as exc:
+    except (DiobasisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

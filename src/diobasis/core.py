@@ -120,9 +120,6 @@ class Equation:
     def n(self) -> int:
         return len(self.lhs) + len(self.rhs)
 
-    def weights(self) -> "WeightVector":
-        return build_weights(self)
-
     def text(self) -> str:
         """Render in the one-line text format, e.g. ``"2 3 = 1 4 5"``."""
         return "{} = {}".format(
@@ -516,27 +513,6 @@ class DominanceBuckets:
             if dominated_or_equal(s, child):
                 return True
         return False
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, ma, mb) with ma*a + mb*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def shared_weights(lhs: Sequence[int], rhs: Sequence[int]) -> list[int]:
-    """Weights for the shared-unknown form, where the same unknown carries a
-    coefficient on each side: w_i = lhs_i - rhs_i (zeros possible)."""
-    if len(lhs) != len(rhs):
-        raise ValueError("shared-unknown form needs equally long sides")
-    return [a - b for a, b in zip(lhs, rhs)]
 
 
 def solve_normalized(

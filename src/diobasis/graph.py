@@ -18,7 +18,8 @@ steps of a surviving walk start from distinct nodes among the max_b nodes
 the max_a nodes {1, ..., max_a}.  Every edge the search follows therefore
 stays in range, and the search follows it by adding its weight: a walk is
 carried with its defect, never with a node index or an adjacency table.
-``DefectGraph`` is the digraph itself, as ``solve --emit-graph`` dumps it.
+``build_defect_graph`` builds the digraph itself, as a dict from node to
+edges, for ``solve --emit-graph`` to dump.
 
 A level is expanded one of two ways, and each way has one prune.  A level
 of at most ``NARROW_FRONTIER`` walks, while the search has found at most
@@ -66,7 +67,7 @@ verdict that the bitset index contradicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     BasisList,
@@ -97,48 +98,24 @@ NARROW_FRONTIER = 64
 BUCKET_SOLUTIONS = 256
 
 
-class DefectGraph:
-    """Labelled digraph over defect values: edge i takes d to d + w_i while
-    the target stays in [-max_b, max_a]."""
-
-    def __init__(self, w: WeightVector):
-        self.w = w
-        self.node_lo = -w.max_b
-        self.node_hi = w.max_a
-        self.num_nodes = self.node_hi - self.node_lo + 1
-
-    @property
-    def edge_count(self) -> int:
-        return sum(self.num_nodes - abs(wi) for wi in self.w.w)
-
-    def successors(self, d: int) -> list[tuple[int, int]]:
-        """Edges out of node ``d`` as (0-based label, target defect) pairs."""
-        return [
-            (i, d + wi)
-            for i, wi in enumerate(self.w.w)
-            if self.node_lo <= d + wi <= self.node_hi
-        ]
-
-    def edges(self) -> Iterator[tuple[int, int, int]]:
-        """All edges as (source defect, 0-based label, target defect)."""
-        for d in range(self.node_lo, self.node_hi + 1):
-            for i, t in self.successors(d):
-                yield d, i, t
-
-
-def build_defect_graph(w: WeightVector) -> DefectGraph:
+def build_defect_graph(w: WeightVector) -> dict[int, list[tuple[int, int]]]:
+    """The defect digraph: each node d in [-max_b, max_a] maps to its edges
+    as (0-based label, target) pairs, edge i going to d + w_i in range."""
     if not w.has_both_signs:
         raise ValueError("defect graph needs weights of both signs")
-    return DefectGraph(w)
+    lo, hi = -w.max_b, w.max_a
+    return {
+        d: [(i, d + wi) for i, wi in enumerate(w.w) if lo <= d + wi <= hi]
+        for d in range(lo, hi + 1)
+    }
 
 
-def render_adjacency(graph: DefectGraph) -> str:
+def render_adjacency(graph: dict[int, list[tuple[int, int]]]) -> str:
     """Text dump, one node per line: ``d: (label->target) ...`` (1-based labels)."""
-    lines = []
-    for d in range(graph.node_lo, graph.node_hi + 1):
-        parts = [f"({i + 1}->{t})" for i, t in graph.successors(d)]
-        lines.append(f"{d}:" + (" " + " ".join(parts) if parts else ""))
-    return "\n".join(lines)
+    return "\n".join(
+        f"{d}:" + "".join(f" ({i + 1}->{t})" for i, t in edges)
+        for d, edges in graph.items()
+    )
 
 
 @dataclass

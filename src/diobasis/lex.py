@@ -4,8 +4,8 @@ The enumeration backtracks over unknowns in input order (lhs block, then
 rhs block).  Two bound flavors prune prefixes: per-coordinate caps, or the
 stronger per-side running-sum caps.  Two tail flavors decide where the
 enumeration stops: the last unknown is forced by divisibility, or the last
-two are solved as a bounded two-variable linear equation via the extended
-Euclidean parametrization.
+two are solved as a bounded two-variable linear equation, whose solutions
+form an arithmetic progression anchored by a modular inverse.
 
 The budgeted walk, ``prefix_walk``, takes the positions to enumerate in order,
 a tail length and a leaf callback; the slopes solver enumerates with it too,
@@ -32,7 +32,6 @@ from .core import (
     Solution,
     WeightVector,
     dominated_or_equal,
-    ext_gcd,
     insert_minimal,
     solve_normalized,
 )
@@ -279,8 +278,8 @@ def tail_leaf(
     One position is forced: the quotient of the residual by its weight,
     accepted only when the division is exact, nonnegative and within the
     budget.  Two positions form a bounded two-variable linear equation,
-    solved by extended-gcd parametrization.  The all-zero vector is dropped,
-    looking at the prefix only when the tail's own part is zero.
+    solved by ``solve_two_var``'s progression.  The all-zero vector is
+    dropped, looking at the prefix only when the tail's own part is zero.
     """
     weights = w.w
     lambert = variant.bound is BoundKind.LAMBERT
@@ -357,12 +356,7 @@ def solve_two_var(
     if c % g:
         return []
     m = abs(t) // g
-    if m == 1:
-        x0 = 0
-    else:
-        sg = (s // g) % m
-        _, inv, _ = ext_gcd(sg, m)
-        x0 = ((c // g) % m) * (inv % m) % m
+    x0 = c // g * pow(s // g, -1, m) % m
 
     # Translate 0 <= y <= y_cap into bounds on s*x, then on x.
     if t > 0:

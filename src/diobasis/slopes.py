@@ -37,7 +37,6 @@ from .core import (
     Equation,
     Solution,
     WeightVector,
-    ext_gcd,
     pareto_min,
     solve_normalized,
 )
@@ -88,10 +87,10 @@ def _residual_setup(a: int, b: int, c: int) -> tuple:
     """
     g = math.gcd(a, b)
     step = a // g
-    inv = ext_gcd(b // g % step, step)[1] % step
+    inv = pow(b // g, -1, step)
     h = math.gcd(g, c)
     t = g // h
-    c_inv = ext_gcd(c // h % t, t)[1] % t
+    c_inv = pow(c // h, -1, t)
     d = c // h * inv % step
     period = a // math.gcd(a, c)
     return g, step, inv, h, t, c_inv, d, period, _record_blocks(step, d)

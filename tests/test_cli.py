@@ -101,6 +101,22 @@ class TestSolve:
         assert code == 2
         assert "token 2" in err
 
+    def test_missing_file_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "missing.txt"
+        code, out, err = run_cli(capsys, "solve", "--file", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_emit_graph_into_missing_directory_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "graph.txt"
+        code, out, err = run_cli(capsys, "solve", "--emit-graph", str(path), "2 1 = 1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_agree_line(self, capsys):
@@ -165,12 +181,17 @@ class TestMalformedOptions:
              "argument --time-limit: '-1' is not a finite number > 0"),
             (("unify", "--time-limit", "inf", "1 = 1"),
              "argument --time-limit: 'inf' is not a finite number > 0"),
+            (("verify", "--oracle-cap", "-3", "1 = 1"),
+             "argument --oracle-cap: '-3' is not an integer >= 1"),
+            (("verify", "--oracle-cap", "0", "1 = 1"),
+             "argument --oracle-cap: '0' is not an integer >= 1"),
         ],
         ids=[
             "gen-not-int", "gen-two-fields", "gen-n-over-m", "bench-classes", "runs-0",
             "runs-negative", "timeout-negative", "timeout-0", "timeout-nan", "early-stop-0",
             "early-stop-not-number", "epsilon-negative", "epsilon-inf", "solve-time-limit-nan",
             "solve-time-limit-0", "verify-time-limit-negative", "unify-time-limit-inf",
+            "oracle-cap-negative", "oracle-cap-0",
         ],
     )
     def test_exit_2_with_an_error_line(self, capsys, argv, message):

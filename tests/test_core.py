@@ -28,14 +28,12 @@ from diobasis.core import (
     defect,
     dominated_or_equal,
     dominates,
-    ext_gcd,
     format_basis,
     insert_minimal,
     oracle_basis,
     oracle_box_size,
     pareto_min,
     parse_equation,
-    shared_weights,
     solve_normalized,
 )
 from diobasis.bench import SOLVERS
@@ -504,21 +502,6 @@ class TestBounds:
                 assert all(y <= b.huet_rhs for y in rhs)
 
 
-class TestExtGcd:
-    @pytest.mark.parametrize(
-        "a,b", [(3, 5), (4, 6), (7, 7), (1, 1), (12, 18), (1021, 104)]
-    )
-    def test_bezout_identity(self, a, b):
-        g, ma, mb = ext_gcd(a, b)
-        assert g == math.gcd(a, b)
-        assert ma * a + mb * b == g
-
-    @given(st.integers(1, 10**6), st.integers(1, 10**6))
-    def test_identity_holds_generally(self, a, b):
-        g, ma, mb = ext_gcd(a, b)
-        assert g == math.gcd(a, b) == ma * a + mb * b
-
-
 def normalized(weights):
     """``solve_normalized`` over a search that records the weight vectors it
     gets and solves them with the graph solver."""
@@ -533,7 +516,7 @@ def normalized(weights):
 
 class TestNormalizeZeroWeights:
     def test_fully_cancelling_shared_unknown(self):
-        basis, seen = normalized(shared_weights([2], [2]))
+        basis, seen = normalized([0])
         assert basis == [(1,)]
         assert seen == []
 
@@ -553,7 +536,7 @@ class TestNormalizeZeroWeights:
     def test_solve_shared_equation(self):
         # x1 + 3*x2 = 2*x1 + x2 over the same unknowns: weights (-1, 2).
         for name, solve in SOLVERS.items():
-            assert solve(shared_weights([1, 3], [2, 1])) == [(2, 1)], name
+            assert solve([-1, 2]) == [(2, 1)], name
 
     def test_solve_shared_with_unit(self):
         for name, solve in SOLVERS.items():

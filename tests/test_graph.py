@@ -1,5 +1,6 @@
 """Defect digraph construction and the graph solver."""
 
+import hashlib
 import itertools
 import random
 
@@ -57,11 +58,16 @@ def random_weights(rng, max_coeff, max_n):
     return WeightVector(tuple(w))
 
 
+def edges(graph):
+    """All edges of a defect digraph as (source, 0-based label, target)."""
+    return [(d, i, t) for d, out in graph.items() for i, t in out]
+
+
 class TestBuildDefectGraph:
     def test_small_graph_edges(self):
         g = build_defect_graph(WeightVector((1, -2)))
-        assert (g.node_lo, g.node_hi, g.num_nodes) == (-2, 1, 4)
-        assert set(g.edges()) == {
+        assert list(g) == [-2, -1, 0, 1]
+        assert set(edges(g)) == {
             (-2, 0, -1),
             (-1, 0, 0),
             (0, 0, 1),
@@ -71,12 +77,12 @@ class TestBuildDefectGraph:
 
     def test_balanced_pair_counts(self):
         g = build_defect_graph(WeightVector((1, -1)))
-        assert g.num_nodes == 3
-        assert g.edge_count == 4
+        assert len(g) == 3
+        assert len(edges(g)) == 4
 
     def test_application_equation_node_count(self):
         g = build_defect_graph(build_weights(EQ6))
-        assert g.num_nodes == 174 + 167 + 1 == 342
+        assert len(g) == 174 + 167 + 1 == 342
 
     def test_counts_match_closed_forms(self):
         rng = random.Random(13)
@@ -84,15 +90,15 @@ class TestBuildDefectGraph:
             w = random_weights(rng, 9, 6)
             g = build_defect_graph(w)
             nodes = w.max_a + w.max_b + 1
-            assert g.num_nodes == nodes
-            assert g.edge_count == sum(nodes - abs(wi) for wi in w.w)
-            assert g.edge_count == len(list(g.edges()))
+            assert list(g) == list(range(-w.max_b, w.max_a + 1))
+            assert len(edges(g)) == sum(nodes - abs(wi) for wi in w.w)
 
     def test_every_edge_adds_its_weight(self):
-        g = build_defect_graph(WeightVector((2, 3, -4)))
-        for d, label, target in g.edges():
-            assert target == d + g.w.w[label]
-            assert g.node_lo <= target <= g.node_hi
+        w = WeightVector((2, 3, -4))
+        g = build_defect_graph(w)
+        for d, label, target in edges(g):
+            assert target == d + w.w[label]
+            assert -w.max_b <= target <= w.max_a
 
     def test_render_format(self):
         text = render_adjacency(build_defect_graph(WeightVector((1, -2))))
@@ -102,6 +108,24 @@ class TestBuildDefectGraph:
             "0: (1->1) (2->-2)",
             "1: (2->-1)",
         ]
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (None, "193fb037841b483a9c84fbfc14a53939e1e88b90d379c26dbb0440537725d90a"),
+            (1, "a50cd5314c5f223553bd4159129a930db13a729b1f0238844e7dca3cfbe95505"),
+            (2, "08a80a1b76931db981cc7097afe9985dfa352ee627289247c07c949fe3795eea"),
+            (3, "8fe5465b43878731a066b17049af524dd44aa4e75f4cf8283d4dd8ef89f9f179"),
+        ],
+    )
+    def test_whole_dump_digest(self, seed, digest):
+        # The showcase's 342 nodes, then three seeded random weight vectors.
+        if seed is None:
+            w = build_weights(EQ6)
+        else:
+            w = random_weights(random.Random(seed), 60, 6)
+        text = render_adjacency(build_defect_graph(w))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestGraphSolve:
@@ -268,7 +292,7 @@ def events(monkeypatch):
 class TestArraySide:
     """The label arrays and the bitset index are built on the first wide
     level, or at the start under ``check_invariants``, and the search never
-    builds a ``DefectGraph``."""
+    builds the defect digraph."""
 
     def test_narrow_search_builds_nothing(self, events):
         stats = GraphStats()
@@ -299,9 +323,8 @@ class TestArraySide:
 
     def test_search_never_builds_the_digraph(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("the search built a DefectGraph")
+            raise AssertionError("the search built the defect digraph")
 
-        monkeypatch.setattr(graph, "DefectGraph", refuse)
         monkeypatch.setattr(graph, "build_defect_graph", refuse)
         eq = parse_equation("9 5 = 2 7 12")
         for path in level_paths(monkeypatch):

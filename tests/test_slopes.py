@@ -14,7 +14,6 @@ from diobasis.core import (
     Equation,
     TimeLimitError,
     dominated_or_equal,
-    ext_gcd,
     oracle_basis,
     pareto_min,
     parse_equation,
@@ -52,14 +51,14 @@ def scan3_reference(a, b, c, v, x_cap=None, yz_cap=None):
     g = math.gcd(b, a)
     step = a // g
     bg = (b // g) % step
-    inv = ext_gcd(bg, step)[1] % step if step > 1 else 0
+    inv = pow(bg, -1, step)
 
     candidates = []
     for z in range(z_top + 1):
         rhs = -v - c * z
         if rhs % g:
             continue
-        y = ((rhs // g) % step) * inv % step if step > 1 else 0
+        y = ((rhs // g) % step) * inv % step
         if rhs > 0:
             y_floor = -((-rhs) // b)
             if y < y_floor:
@@ -120,6 +119,39 @@ class TestSlopes3:
             for b in range(1, 13):
                 for c in range(1, 13):
                     assert slopes3(a, b, c) == oracle_basis(Equation((a,), (b, c)))
+
+
+class TestResidualSetup:
+    """``_residual_setup``'s modular inverses: inv inverts b/g modulo step
+    and c_inv inverts c/h modulo t, both reduced, including modulo 1."""
+
+    @staticmethod
+    def check(a, b, c):
+        g, step, inv, h, t, c_inv = slopes._residual_setup(a, b, c)[:6]
+        assert (g, step) == (math.gcd(a, b), a // math.gcd(a, b))
+        assert (h, t) == (math.gcd(g, c), g // math.gcd(g, c))
+        assert 0 <= inv < step and 0 <= c_inv < t
+        assert inv * (b // g) % step == 1 % step
+        assert c_inv * (c // h) % t == 1 % t
+        return step, t
+
+    @pytest.mark.parametrize(
+        "a, b, moduli",
+        [
+            pytest.param(3, 5, (3, 1), id="3-5"),
+            pytest.param(4, 6, (2, 2), id="4-6"),
+            pytest.param(7, 7, (1, 7), id="7-7"),
+            pytest.param(1, 1, (1, 1), id="1-1"),
+            pytest.param(12, 18, (2, 6), id="12-18"),
+            pytest.param(1021, 104, (1021, 1), id="1021-104"),
+        ],
+    )
+    def test_inverses(self, a, b, moduli):
+        assert self.check(a, b, 1) == moduli
+
+    @given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 10**6))
+    def test_inverses_hold_generally(self, a, b, c):
+        self.check(a, b, c)
 
 
 class TestSolve3General:
