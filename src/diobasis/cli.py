@@ -246,6 +246,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         runner_b = make_internal_runner(args.algo_b)
         name_b, mode = args.algo_b, "internal"
     progress = None if args.quiet else (lambda line: print(line, file=sys.stderr))
+    # An unwritable --out fails here, before the run rather than after it.
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     report = run_benchmark(
         args.classes, args.seed, policy, runner_a, runner_b,
         name_a=args.algo_a, name_b=name_b, mode=mode, progress=progress,

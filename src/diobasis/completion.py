@@ -18,6 +18,13 @@ be bounded by a solution s with s_i = c_i, since its parent x survived the
 same test one step earlier (``core.DominanceBuckets``), so the test scans
 just those solutions.
 
+A walk's vector is carried packed into one int by the weights' ``packing``
+(``core.Packing``): a child is its parent plus one unit, the scan rule's
+stop masks one field, and the bucket test is one guard-bit subtraction per
+solution scanned (``core.PackedBuckets``).  Every child of the pruned
+search has coordinates of at most max(max_a, max_b) (``graph`` module
+docstring), so no field overflows.  The basis is unpacked once, at the end.
+
 Every emission is minimal, so the basis is kept by appending.  Emissions
 of one level share a coordinate sum, so none bounds another.  An earlier
 solution s <= c = x + e_i has s_i = c_i by the same argument, so c - s is a
@@ -37,18 +44,17 @@ from typing import Callable, Sequence
 from .core import (
     BasisList,
     Deadline,
-    DominanceBuckets,
     Equation,
     InsertStats,
-    Solution,
+    PackedBuckets,
     WeightVector,
     insert_minimal,
     is_dominated,
     solve_normalized,
 )
 
-# A candidate vector and its defect.
-Walk = tuple[Solution, int]
+# A candidate vector, packed by its weights' ``packing``, and its defect.
+Walk = tuple[int, int]
 
 
 @dataclass
@@ -61,24 +67,26 @@ class CompletionStats:
 
 def initial_proposals(w: WeightVector) -> list[Walk]:
     """Seed walks: one unit vector per positive-weight position."""
-    n = len(w)
-    return [
-        ((0,) * i + (1,) + (0,) * (n - i - 1), w.w[i]) for i in w.positive_positions
-    ]
+    units = w.packing.units
+    return [(units[i], w.w[i]) for i in w.positive_positions]
 
 
 def completion_step(
     w: WeightVector,
     walks: list[Walk],
-    bounds: Callable[[Solution, int], bool] | None,
+    bounds: Callable[[int, int], bool] | None,
     deadline: Deadline | None = None,
-) -> tuple[list[Solution], list[Walk], int]:
+) -> tuple[list[int], list[Walk], int]:
     """One completion round: extend every walk, split off solutions.
 
     Returns the children of defect zero, the other children that survive,
-    and the number of children made; the rest were pruned.  A child
-    x + e_i survives unless ``bounds(child, i)`` is true: a
-    ``DominanceBuckets.bounds`` that holds every solution of coordinate sum
+    and the number of children made; the rest were pruned.  Vectors are
+    packed by ``w.packing``, and every child made must have each coordinate
+    below 2**bits: the children of a pruned search do (module docstring),
+    while an unpruned caller must pick weights whose top is above every
+    coordinate its walks reach, or the increment carries into a guard bit.
+    A child x + e_i survives unless ``bounds(child, i)`` is true: a
+    ``PackedBuckets.bounds`` that holds every solution of coordinate sum
     below the walks', a wrapper of one, or None to keep every child.  The
     scan rule makes duplicate children impossible, so the step does not
     look for them.  ``deadline`` is checked before the first walk and then
@@ -97,20 +105,21 @@ def completion_step(
             children += part_children
         return emitted, kept, children
     weights = w.w
+    units, fields = w.packing.units, w.packing.fields
     pos_desc, neg_desc = w.scan_orders
-    emitted: list[Solution] = []
+    emitted: list[int] = []
     kept: list[Walk] = []
     children = 0
     for x, d in walks:
         for i in pos_desc if d < 0 else neg_desc:
             children += 1
-            child = x[:i] + (x[i] + 1,) + x[i + 1 :]
+            child = x + units[i]
             dc = d + weights[i]
             if not dc:
                 emitted.append(child)
             elif bounds is None or not bounds(child, i):
                 kept.append((child, dc))
-            if x[i]:
+            if x & fields[i]:
                 break
     return emitted, kept, children
 
@@ -125,12 +134,13 @@ def completion_solve(
     """Basis of an equation or a signed weight sequence by the completion
     procedure (normalized by ``core.solve_normalized``).
 
-    With ``check_invariants`` the search also keeps a reference basis by
-    ``insert_minimal``, checks each dominance verdict against
-    ``is_dominated`` on it, and raises ``AssertionError`` on a duplicate
-    emission or walk and on a dominated emission; the scan rule, the
-    equal-sum argument and the bucket argument prove none of that can fire,
-    so by default the search does not pay for it.
+    With ``check_invariants`` the search also keeps a reference basis of
+    unpacked vectors by ``insert_minimal``, checks each dominance verdict
+    against ``is_dominated`` on it, and raises ``AssertionError`` on a child
+    with a guard bit set, a duplicate emission or walk and a dominated
+    emission; the width argument, the scan rule, the equal-sum argument and
+    the bucket argument prove none of that can fire, so by default the
+    search does not pay for it.
     """
     return solve_normalized(
         problem,
@@ -147,16 +157,19 @@ def _solve(
     deadline: Deadline,
     check_invariants: bool,
 ) -> BasisList:
-    found = DominanceBuckets(len(w))
+    unpack, guards = w.packing.unpack, w.packing.guards
+    found = PackedBuckets(w.packing)
     bounds = found.bounds
     if check_invariants:
         reference: BasisList = []
 
-        def bounds(child: Solution, i: int) -> bool:
+        def bounds(child: int, i: int) -> bool:
+            if child & guards:
+                raise AssertionError("field overflow")
             hit = found.bounds(child, i)
-            if hit != is_dominated(reference, child):
+            if hit != is_dominated(reference, unpack(child)):
                 raise AssertionError(
-                    f"bucket test disagrees with is_dominated on {child}"
+                    f"bucket test disagrees with is_dominated on {unpack(child)}"
                 )
             return hit
 
@@ -172,9 +185,11 @@ def _solve(
                 if len(set(items)) < len(items):
                     raise AssertionError(f"duplicate {what}; scan rule violated")
             for sol in emitted:
-                if not insert_minimal(reference, sol):
-                    raise AssertionError(f"dominated emission {sol}")
+                if sol & guards:
+                    raise AssertionError("field overflow")
+                if not insert_minimal(reference, unpack(sol)):
+                    raise AssertionError(f"dominated emission {unpack(sol)}")
         stats.insert.inserted += len(emitted)
         for sol in emitted:
             found.add(sol)
-    return sorted(found.solutions)
+    return list(map(unpack, sorted(found.solutions)))

@@ -10,12 +10,12 @@ under componentwise dominance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -134,45 +134,85 @@ class WeightVector:
     entries are not allowed here: the solvers take raw weight sequences,
     zeros included, through :func:`solve_normalized`, which splits the
     zeros off before building one.
+
+    ``max_a`` is the largest positive weight and ``max_b`` the largest
+    magnitude among negative weights, 0 when a side is empty.
+    ``positive_positions`` and ``negative_positions`` list each side's
+    positions, and ``scan_orders`` lists them from the top down, the order
+    in which a unit-step search scans them.  ``packing`` packs vectors whose
+    coordinates are at most max(max_a, max_b), which every child of the
+    pruned unit-step search is (``graph`` module docstring).  All of them
+    are computed once here: a solve reads several, and a cached property
+    takes a lock on its first access.
     """
 
     w: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "w", tuple(self.w))
-        if any(wi == 0 for wi in self.w):
+        w = tuple(self.w)
+        if 0 in w:
             raise CoefficientRangeError("weight vector contains a zero entry")
+        pos = tuple([i for i, wi in enumerate(w) if wi > 0])
+        neg = tuple([i for i, wi in enumerate(w) if wi < 0])
+        max_a = max(w) if pos else 0
+        max_b = -min(w) if neg else 0
+        # The instance is frozen, so its derived attributes go in directly.
+        self.__dict__.update(
+            w=w,
+            max_a=max_a,
+            max_b=max_b,
+            positive_positions=pos,
+            negative_positions=neg,
+            scan_orders=(pos[::-1], neg[::-1]),
+            packing=packing(len(w), max(max_a, max_b)),
+        )
 
     def __len__(self) -> int:
         return len(self.w)
 
-    @cached_property
-    def max_a(self) -> int:
-        """Largest positive weight (0 when the positive side is empty)."""
-        return max((wi for wi in self.w if wi > 0), default=0)
-
-    @cached_property
-    def max_b(self) -> int:
-        """Largest magnitude among negative weights (0 when absent)."""
-        return max((-wi for wi in self.w if wi < 0), default=0)
-
-    @cached_property
-    def positive_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, wi in enumerate(self.w) if wi > 0)
-
-    @cached_property
-    def negative_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, wi in enumerate(self.w) if wi < 0)
-
-    @cached_property
-    def scan_orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Positive and negative positions, each from the top down: the
-        order in which a unit-step search scans them."""
-        return self.positive_positions[::-1], self.negative_positions[::-1]
-
     @property
     def has_both_signs(self) -> bool:
         return bool(self.positive_positions) and bool(self.negative_positions)
+
+
+class Packing:
+    """Vectors of n naturals below 2**bits packed into one int each.
+
+    Coordinate k sits in a field of ``bits`` bits under a guard bit, so a
+    field is ``bits + 1`` wide, and coordinate 0 takes the highest field:
+    packed ints compare in the lex order of their vectors.  ``units[k]`` is
+    e_k packed, so adding it increments coordinate k; ``fields[k]`` masks
+    coordinate k in place, and ``guards`` has every guard bit set.
+
+    The guard test ``((c | guards) - s) & guards == guards`` is s <= c
+    componentwise (Lamport, CACM 1975): field k computes
+    2**bits + c_k - s_k, which is positive, so no borrow crosses into the
+    next field, and its guard bit survives exactly when c_k >= s_k.  It is
+    exact while neither vector has a guard bit set, that is while every
+    coordinate is below 2**bits.
+    """
+
+    __slots__ = ("bits", "shifts", "units", "fields", "guards")
+
+    def __init__(self, n: int, bits: int):
+        self.bits = bits
+        self.shifts = tuple((bits + 1) * k for k in reversed(range(n)))
+        self.units = tuple(1 << s for s in self.shifts)
+        self.fields = tuple(((1 << bits) - 1) << s for s in self.shifts)
+        self.guards = sum(unit << bits for unit in self.units)
+
+    def pack(self, x: Sequence[int]) -> int:
+        return sum(map(operator.lshift, x, self.shifts))
+
+    def unpack(self, p: int) -> Solution:
+        low = (1 << self.bits) - 1
+        return tuple([(p >> s) & low for s in self.shifts])
+
+
+@functools.lru_cache(maxsize=64)
+def packing(n: int, top: int) -> Packing:
+    """The packing of n coordinates of at most ``top`` each."""
+    return Packing(n, top.bit_length())
 
 
 @dataclass(frozen=True)
@@ -210,7 +250,9 @@ def defect(w: WeightVector, x: Sequence[int]) -> int:
 
 def dominated_or_equal(s: Sequence[int], t: Sequence[int]) -> bool:
     """True when s <= t componentwise (equality allowed): the package's one
-    componentwise test, which every other dominance check calls."""
+    componentwise test on tuples, which every other dominance check on
+    tuples calls.  The unit-step search's packed walks have the guard test
+    of ``Packing`` instead."""
     return all(map(operator.le, s, t))
 
 
@@ -483,15 +525,18 @@ class DominanceBuckets:
 
     Completion and the graph search expand level by level in coordinate
     sum and add each level's solutions before testing the next level's
-    children, which is the condition above.
+    children, which is the condition above.  They carry their walks packed
+    and keep the same buckets over packed ints, ``PackedBuckets``.
 
-    ``lex.prefix_walk`` is the third user, with a precondition of its own.
-    It tests ``bounds(prefix, i)`` at every value > 0 its loop over
-    position i reaches, in ascending order under one parent prefix that no
-    added solution bounds, and it stops the loop after a balanced prefix.
-    Its slopes floors only stop loops early and never skip a balanced
-    leaf.  Then any added s <= prefix has s_i = prefix_i, by the argument
-    in that function's docstring.
+    ``lex.prefix_walk`` is the one user of this tuple form, with a
+    precondition of its own.  It tests ``bounds(prefix, i)`` at every value
+    > 0 its loop over position i reaches, in ascending order under one
+    parent prefix that no added solution bounds, and it stops the loop after
+    a balanced prefix.  Its slopes floors only stop loops early and never
+    skip a balanced leaf.  Then any added s <= prefix has s_i = prefix_i, by
+    the argument in that function's docstring.  Lex keeps tuples because it
+    moves one coordinate through many values per prefix, and a packed
+    prefix would pay an addition per value tried.
     """
 
     def __init__(self, n: int):
@@ -511,6 +556,35 @@ class DominanceBuckets:
         test, and the scan stops at the first hit."""
         for s in self.buckets[i].get(child[i], ()):
             if dominated_or_equal(s, child):
+                return True
+        return False
+
+
+class PackedBuckets:
+    """``DominanceBuckets`` over vectors packed by ``packing``: bucket
+    (i, v) is keyed by the masked field ``p & fields[i]``, which no other
+    bucket shares, so one dict holds them all, and ``bounds`` scans a bucket
+    with the guard test (``Packing``), the kernel of the unit-step search.
+    Every vector added or tested must have no guard bit set."""
+
+    def __init__(self, packing: Packing):
+        self.fields = packing.fields
+        self.guards = packing.guards
+        self.solutions: list[int] = []
+        self.buckets: dict[int, list[int]] = {}
+
+    def add(self, sol: int) -> None:
+        self.solutions.append(sol)
+        for mask in self.fields:
+            if sol & mask:
+                self.buckets.setdefault(sol & mask, []).append(sol)
+
+    def bounds(self, child: int, i: int) -> bool:
+        """``DominanceBuckets.bounds`` on packed vectors."""
+        guards = self.guards
+        lifted = child | guards
+        for s in self.buckets.get(child & self.fields[i], ()):
+            if (lifted - s) & guards == guards:
                 return True
         return False
 

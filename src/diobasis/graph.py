@@ -18,16 +18,23 @@ steps of a surviving walk start from distinct nodes among the max_b nodes
 the max_a nodes {1, ..., max_a}.  Every edge the search follows therefore
 stays in range, and the search follows it by adding its weight: a walk is
 carried with its defect, never with a node index or an adjacency table.
+The same bound holds for every child the search makes, pruned ones
+included: a child's new step starts at its parent's end node, from which no
+step of the surviving parent started, since the parent visits no node
+twice.  So the child's steps on each side still start from distinct nodes,
+and each of its coordinates is at most max(max_a, max_b), the width the
+packed walks below rely on.
 ``build_defect_graph`` builds the digraph itself, as a dict from node to
 edges, for ``solve --emit-graph`` to dump.
 
 A level is expanded one of two ways, and each way has one prune.  A level
 of at most ``NARROW_FRONTIER`` walks, while the search has found at most
 ``BUCKET_SOLUTIONS`` (256) solutions, is expanded walk by walk by the
-completion procedure's own step, ``completion.completion_step``, each walk a
-tuple of label counts carried with its defect as an int, so a deep search of
-thin levels costs per walk, not per level.  Every other level is expanded in
-vectorized passes over an int32 array of walks, an array of their defects
+completion procedure's own step, ``completion.completion_step``, each walk
+its label counts packed into one int (``core.Packing``) and carried with its
+defect, so a deep search of thin levels costs per walk, not per level, and a
+child costs one addition.  Every other level is expanded in vectorized
+passes over an int32 array of walks, an array of their defects
 and, per walk and side, its scan cut: the scan position of the walk's first
 used label on that side, up to which the scan rule expands it.  A child's
 defect is its parent's plus the weight of its label, and its cuts are its
@@ -41,11 +48,13 @@ A narrow level tests each child as it is made.  The child c = x + e_i
 extends a walk x that survived the prune one level earlier, so a found
 solution below c has a smaller coordinate sum and agrees with c at i: only
 the solutions whose i-th count equals c_i need scanning
-(``core.DominanceBuckets``).  On a thin level that replaces a batched call
-of fixed cost (about 25 us) by a few tuple comparisons.  A wide level tests
-its children with one batched call to the ``DominanceIndex``.  Past the cap,
-buckets hold too many solutions to scan per child, and every emission of a
-wide level would pay n bucket appends, so the search drops them and expands
+(``core.DominanceBuckets``).  The buckets hold the packed solutions
+(``core.PackedBuckets``), and each member scanned costs one guard-bit
+subtraction, so on a thin level a batched call of fixed cost (about 25 us)
+gives way to a few integer operations.  A wide level tests its children
+with one batched call to the ``DominanceIndex``.  Past the cap, buckets
+hold too many solutions to scan per child, and every emission of a wide
+level would pay n bucket appends, so the search drops them and expands
 every later level in vectorized passes, however narrow.  Once built, the
 ``DominanceIndex`` takes every solution found before it, in the order they
 were found, and then each level's emissions as the level ends, on either
@@ -57,11 +66,12 @@ coordinate sum and so equal it, which a child of nonzero defect cannot.
 The scan rule makes duplicate walks impossible, and emissions within a
 level share a coordinate sum, so they never dominate each other or an
 earlier solution.  The search therefore does not test for either, nor for
-side sums.  ``check_invariants=True`` runs the same prunes and raises
-``AssertionError`` on a duplicate walk or emission within a level, an
-emission bounded by an earlier solution, a child over a side-sum cap, a
-carried scan cut that differs from the one its row gives, or a bucket
-verdict that the bitset index contradicts.
+side sums or field overflows.  ``check_invariants=True`` runs the same
+prunes and raises ``AssertionError`` on a duplicate walk or emission within
+a level, an emission bounded by an earlier solution, a child over a
+side-sum cap, a narrow child with a guard bit set, a carried scan cut that
+differs from the one its row gives, or a bucket verdict that the bitset
+index contradicts.
 """
 
 from __future__ import annotations
@@ -72,10 +82,10 @@ from typing import TYPE_CHECKING, Sequence
 from .core import (
     BasisList,
     Deadline,
-    DominanceBuckets,
     DominanceIndex,
     Equation,
     InsertStats,
+    PackedBuckets,
     ResourceLimitError,
     Solution,
     WeightVector,
@@ -87,7 +97,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_FRONTIER_CAP = 2**26
-# Levels of at most this many walks are expanded walk by walk as tuples;
+# Levels of at most this many walks are expanded walk by walk, packed;
 # wider ones in vectorized passes, whose fixed cost per level a few walks
 # cannot repay.
 NARROW_FRONTIER = 64
@@ -132,14 +142,14 @@ class _Search:
     """State shared by the levels of one graph search: the weights, the
     solutions found so far and their dominance indexes.
 
-    A level is expanded by ``narrow_level`` on a list of walk tuples, with
+    A level is expanded by ``narrow_level`` on a list of packed walks, with
     ``completion_step`` and the bucket test, or by ``wide_level`` on a level
     state of three arrays, the walks' int32 label counts, their defects and
     their scan cuts (``scan_cuts``), with the bitset test; both apply the
-    same scan rule.  ``to_rows`` turns walks into a level state, computing
-    the cuts once, and ``to_walks`` drops them.  The ndarray side
-    (``weights``, ``label_arrays``, ``scan_table``, ``positive`` and
-    ``index``) is built by ``build_arrays`` on the first wide level.  With
+    same scan rule.  ``to_rows`` unpacks walks into a level state, computing
+    the cuts once, and ``to_walks`` packs its rows and drops the cuts.  The
+    ndarray side (``weights``, ``label_arrays``, ``scan_table``, ``positive``
+    and ``index``) is built by ``build_arrays`` on the first wide level.  With
     ``check`` it is built at the start, since the audits read the bitset,
     and both paths also raise ``AssertionError`` on a broken invariant
     (module docstring).
@@ -147,12 +157,13 @@ class _Search:
 
     def __init__(self, w: WeightVector, stats: GraphStats, check: bool):
         self.w = w
+        self.packing = w.packing
         self.stats = stats
         self.check = check
         self.solutions: list[Solution] = []
         # Dropped once the search has found over BUCKET_SOLUTIONS solutions;
         # every later level is then wide.
-        self.buckets: DominanceBuckets | None = DominanceBuckets(len(w))
+        self.buckets: PackedBuckets | None = PackedBuckets(w.packing)
         self.index: DominanceIndex | None = None
         if check:
             self.build_arrays()
@@ -180,7 +191,7 @@ class _Search:
     def to_walks(
         self, rows: np.ndarray, defects: np.ndarray, cuts: np.ndarray
     ) -> list[Walk]:
-        return list(zip(map(tuple, rows.tolist()), defects.tolist()))
+        return list(zip(map(self.packing.pack, rows.tolist()), defects.tolist()))
 
     def to_rows(self, walks: list[Walk]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The walks as a wide level: int32 label counts, defects and scan
@@ -189,8 +200,8 @@ class _Search:
 
         if self.index is None:
             self.build_arrays()
-        counts, defects = zip(*walks)
-        rows = np.array(counts, dtype=np.int32)
+        packed, defects = zip(*walks)
+        rows = np.array(list(map(self.packing.unpack, packed)), dtype=np.int32)
         return rows, np.array(defects, dtype=np.int32), self.scan_cuts(rows)
 
     def scan_cuts(self, rows: np.ndarray) -> np.ndarray:
@@ -207,9 +218,15 @@ class _Search:
             cuts[:, side] = used.argmax(axis=1)
         return cuts
 
-    def emit(self, new: list[Solution], rows: np.ndarray | None = None) -> None:
+    def emit(
+        self,
+        new: list[Solution],
+        rows: np.ndarray | None = None,
+        packed: list[int] | None = None,
+    ) -> None:
         """Record a level's emissions, given as tuples and, from a wide level,
-        as the same int32 rows, and index them once the index is built."""
+        as the same int32 rows or, from a narrow one, packed; index them once
+        the index is built, and file them in the buckets while kept."""
         if self.index is not None:
             if rows is None:
                 import numpy as np
@@ -228,7 +245,7 @@ class _Search:
             if len(self.solutions) > BUCKET_SOLUTIONS:
                 self.buckets = None
             else:
-                for sol in new:
+                for sol in map(self.packing.pack, new) if packed is None else packed:
                     self.buckets.add(sol)
 
     def audit_caps(self, rows: np.ndarray) -> None:
@@ -241,17 +258,20 @@ class _Search:
         if over.any():
             raise AssertionError("walk over a side-sum cap")
 
-    def audited_bounds(self, child: Solution, i: int) -> bool:
-        """The bucket test on ``child``, checked against the side-sum caps
-        and the bitset index."""
+    def audited_bounds(self, child: int, i: int) -> bool:
+        """The bucket test on the packed ``child``, checked against its
+        guard bits, the side-sum caps and the bitset index."""
         import numpy as np
 
-        row = np.array([child], dtype=np.int32)
+        if child & self.packing.guards:
+            raise AssertionError("field overflow")
+        vector = self.packing.unpack(child)
+        row = np.array([vector], dtype=np.int32)
         self.audit_caps(row)
         hit = self.buckets.bounds(child, i)
         if hit != self.index.any_dominator(row)[0]:
             raise AssertionError(
-                f"bucket test disagrees with the bitset index on {child}"
+                f"bucket test disagrees with the bitset index on {vector}"
             )
         return hit
 
@@ -262,10 +282,13 @@ class _Search:
         emitted, proposals, children = completion_step(self.w, walks, bounds)
         self.stats.children += children
         self.stats.pruned_dominated += children - len(emitted) - len(proposals)
-        if self.check and len(set(proposals)) < len(proposals):
-            raise AssertionError("duplicate walk; scan rule violated")
+        if self.check:
+            if len(set(proposals)) < len(proposals):
+                raise AssertionError("duplicate walk; scan rule violated")
+            if any(sol & self.packing.guards for sol in emitted):
+                raise AssertionError("field overflow")
         if emitted:
-            self.emit(emitted)
+            self.emit(list(map(self.packing.unpack, emitted)), packed=emitted)
         return proposals
 
     def wide_level(
@@ -331,11 +354,11 @@ def graph_solve(
 
     With ``check_invariants`` the search runs the same prunes and raises
     ``AssertionError`` on a duplicate walk or emission, an emission bounded
-    by an earlier solution, a child over a side-sum cap, a carried scan cut
-    that differs from its row's, or a bucket verdict that the bitset index
-    contradicts; the scan rule, the equal-sum argument, the revisit argument
-    and the bucket argument prove none of that can fire, so by default the
-    search does not pay for it.
+    by an earlier solution, a child over a side-sum cap, a narrow child with
+    a guard bit set, a carried scan cut that differs from its row's, or a
+    bucket verdict that the bitset index contradicts; the scan rule, the
+    equal-sum argument, the revisit argument and the bucket argument prove
+    none of that can fire, so by default the search does not pay for it.
     """
     return solve_normalized(
         problem,

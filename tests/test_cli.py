@@ -264,6 +264,27 @@ class TestBenchCommand:
         meta = json.loads((out_dir / "metadata.json").read_text())
         assert meta["timing_mode"] == "internal-vs-subprocess"
 
+    def test_unwritable_out_fails_before_the_run(self, capsys, tmp_path, monkeypatch):
+        from diobasis import bench
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the benchmark ran before --out was checked")
+
+        monkeypatch.setattr(bench, "run_benchmark", refuse)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run_cli(
+            capsys,
+            "bench",
+            "--classes", "1,2,2",
+            "--runs", "1",
+            "--out", str(blocker / "out"),
+            "--quiet",
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
+
 
 def fresh_cli(*argv):
     """Run ``python -m diobasis.cli`` in a fresh interpreter with ``src``

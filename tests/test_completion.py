@@ -14,8 +14,8 @@ from diobasis.completion import (
     initial_proposals,
 )
 from diobasis.core import (
-    DominanceBuckets,
     Equation,
+    PackedBuckets,
     TimeLimitError,
     WeightVector,
     build_weights,
@@ -31,6 +31,16 @@ def random_equation(rng, max_coeff=7, max_side=3):
     lhs = tuple(rng.randint(1, max_coeff) for _ in range(rng.randint(1, max_side)))
     rhs = tuple(rng.randint(1, max_coeff) for _ in range(rng.randint(1, max_side)))
     return Equation(lhs, rhs)
+
+
+def unpacked(w, walks):
+    """Walks with their vectors unpacked to tuples."""
+    return [(w.packing.unpack(x), d) for x, d in walks]
+
+
+def packed(w, walks):
+    """Walks given with tuple vectors, packed."""
+    return [(w.packing.pack(x), d) for x, d in walks]
 
 
 class TestCompletionSolve:
@@ -55,28 +65,31 @@ class TestCompletionStep:
     def test_seeds_are_positive_side_units(self):
         w = WeightVector((2, 1, -1))
         seeds = initial_proposals(w)
-        assert seeds == [((1, 0, 0), 2), ((0, 1, 0), 1)]
+        assert unpacked(w, seeds) == [((1, 0, 0), 2), ((0, 1, 0), 1)]
 
     def test_two_sided_seeds_collide(self):
         # Fed both unit vectors, each extends toward the opposite sign and
         # meets in the same vector; the step does not look for duplicates.
         w = WeightVector((1, -2))
-        walks = [((1, 0), 1), ((0, 1), -2)]
-        assert completion_step(w, walks, None) == ([], [((1, 1), -1)] * 2, 2)
+        walks = packed(w, [((1, 0), 1), ((0, 1), -2)])
+        emitted, kept, children = completion_step(w, walks, None)
+        assert (emitted, unpacked(w, kept), children) == ([], [((1, 1), -1)] * 2, 2)
 
     def test_one_sided_seeds_never_collide(self):
         w = WeightVector((1, -2))
-        assert completion_step(w, initial_proposals(w), None) == ([], [((1, 1), -1)], 1)
+        emitted, kept, children = completion_step(w, initial_proposals(w), None)
+        assert (emitted, unpacked(w, kept), children) == ([], [((1, 1), -1)], 1)
 
     def test_single_step_solution(self):
         w = WeightVector((1, -1))
-        assert completion_step(w, initial_proposals(w), None) == ([(1, 1)], [], 1)
+        emitted, kept, children = completion_step(w, initial_proposals(w), None)
+        assert (list(map(w.packing.unpack, emitted)), kept, children) == ([(1, 1)], [], 1)
 
     def test_check_invariants_raises_on_two_sided_seeds(self, monkeypatch):
         monkeypatch.setattr(
             completion,
             "initial_proposals",
-            lambda w: [((1, 0), 1), ((0, 1), -2)],
+            lambda w: packed(w, [((1, 0), 1), ((0, 1), -2)]),
         )
         with pytest.raises(AssertionError, match="duplicate walk"):
             completion_solve((1, -2), check_invariants=True)
@@ -84,7 +97,7 @@ class TestCompletionStep:
     def test_no_zero_defect_proposals_survive(self):
         w = WeightVector((3, 2, -4, -1))
         walks = initial_proposals(w)
-        found = DominanceBuckets(len(w))
+        found = PackedBuckets(w.packing)
         for _ in range(20):
             solutions, walks, _ = completion_step(w, walks, found.bounds)
             for s in solutions:
@@ -100,18 +113,27 @@ class TestCompletionStep:
     )
     def test_unpruned_levels_are_unique_and_confined(self, lhs, rhs):
         # The scan rule alone, with no dominance prune: every vector has one
-        # path, so no walk or emission repeats within a level.
+        # path, so no walk or emission repeats within a level.  Unpruned
+        # walks can outgrow the packing of w (w = (3, 2, -2) reaches
+        # (1, 2, 4) at level 6), so the step runs on 8w: the scan rule reads
+        # only the signs of the defects, so the walks are the same, the
+        # defects are 8 times w's, and coordinates up to 7 fit its fields.
         w = WeightVector(tuple(lhs) + tuple(-b for b in rhs))
-        walks = initial_proposals(w)
+        scaled = WeightVector(tuple(8 * wi for wi in w.w))
+        unpack, guards = scaled.packing.unpack, scaled.packing.guards
+        walks = initial_proposals(scaled)
         for level in range(1, 7):
-            emitted, walks, children = completion_step(w, walks, None)
+            emitted, walks, children = completion_step(scaled, walks, None)
             assert children == len(emitted) + len(walks)
             assert len(set(emitted)) == len(emitted)
             assert len(set(walks)) == len(walks)
-            for sol in emitted:
+            assert not any(p & guards for p in emitted + [x for x, _ in walks])
+            for sol in map(unpack, emitted):
                 assert defect(w, sol) == 0
                 assert sum(sol) == level + 1
-            for x, d in walks:
+            for x, scaled_d in unpacked(scaled, walks):
+                d, rest = divmod(scaled_d, 8)
+                assert rest == 0
                 assert d == defect(w, x) != 0
                 assert 1 - w.max_b <= d <= w.max_a - 1
                 assert sum(x) == level + 1
@@ -134,7 +156,7 @@ class TestCompletionDeadline:
     @pytest.fixture(scope="class")
     def wide_level(self):
         w = build_weights(parse_equation("53 36 29 21 = 11 38 82 107"))
-        walks, found = initial_proposals(w), DominanceBuckets(len(w))
+        walks, found = initial_proposals(w), PackedBuckets(w.packing)
         while len(walks) < 2000:
             emissions, walks, _ = completion_step(w, walks, found.bounds)
             for sol in emissions:
@@ -177,7 +199,8 @@ class TestCompletionInvariants:
 
         def step(w, walks, bounds, deadline=None):
             emitted, kept, children = completion_step(w, walks, bounds, deadline)
-            extra = [tuple(2 * v for v in seen[0])] if seen else []
+            pack, unpack = w.packing.pack, w.packing.unpack
+            extra = [pack(tuple(2 * v for v in unpack(seen[0])))] if seen else []
             seen.extend(emitted)
             return emitted + extra, kept, children
 
@@ -192,12 +215,12 @@ class TestCompletionInvariants:
         w = WeightVector((5, 3, -3, -2))
         walks = initial_proposals(w)
         level = 1
-        found = DominanceBuckets(len(w))
+        found = PackedBuckets(w.packing)
         while walks:
-            assert all(sum(x) == level for x, _ in walks)
+            assert all(sum(x) == level for x, _ in unpacked(w, walks))
             solutions, walks, _ = completion_step(w, walks, found.bounds)
             for s in solutions:
-                assert sum(s) == level + 1
+                assert sum(w.packing.unpack(s)) == level + 1
                 found.add(s)
             level += 1
             assert level < 60
@@ -205,17 +228,19 @@ class TestCompletionInvariants:
     def test_defect_confinement(self):
         # Every child of the whole search, pruned ones included: the step
         # runs unpruned and the level is pruned after it by a full scan.
+        # Its walks are the pruned search's, so every child fits the packing.
         rng = random.Random(9)
         for _ in range(40):
             eq = random_equation(rng)
             w = build_weights(eq)
+            unpack = w.packing.unpack
             walks, found = initial_proposals(w), []
             while walks:
                 emitted, kept, children = completion_step(w, walks, None)
                 assert children == len(emitted) + len(kept)
                 assert all(-w.max_b <= d <= w.max_a for _, d in kept)
-                found = sorted(found + emitted)
-                walks = [(x, d) for x, d in kept if not is_dominated(found, x)]
+                found = sorted(found + list(map(unpack, emitted)))
+                walks = [(x, d) for x, d in kept if not is_dominated(found, unpack(x))]
             assert found == oracle_basis(eq)
 
     def test_single_signed_weights_have_empty_basis(self):

@@ -305,6 +305,78 @@ class TestDominanceBuckets:
         assert sorted(kept) == oracle_basis(Equation(tuple(lhs), tuple(rhs)))
 
 
+@st.composite
+def packed_vectors(draw, count):
+    """A packing of n <= 10 coordinates of at most ``top`` and ``count``
+    vectors for it, with the coordinates 0 and ``top`` drawn often."""
+    n = draw(st.integers(1, 10))
+    top = draw(st.sampled_from([0, 1, COEFFICIENT_LIMIT]) | st.integers(0, COEFFICIENT_LIMIT))
+    coord = st.sampled_from([0, top]) | st.integers(0, top)
+    vectors = draw(st.lists(st.tuples(*[coord] * n), min_size=count, max_size=count))
+    return core.packing(n, top), vectors
+
+
+class TestPacking:
+    @settings(max_examples=200, deadline=None)
+    @given(case=packed_vectors(1))
+    def test_pack_round_trips_with_units_and_fields(self, case):
+        packing, (x,) = case
+        p = packing.pack(x)
+        assert packing.unpack(p) == x
+        assert not p & packing.guards
+        for k, v in enumerate(x):
+            assert bool(p & packing.fields[k]) == bool(v)
+            if v + 1 < 1 << packing.bits:
+                assert packing.unpack(p + packing.units[k]) == x[:k] + (v + 1,) + x[k + 1 :]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=packed_vectors(8))
+    def test_int_order_is_lex_order(self, case):
+        packing, vectors = case
+        assert list(map(packing.unpack, sorted(map(packing.pack, vectors)))) == sorted(vectors)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=packed_vectors(2), data=st.data())
+    def test_guard_test_is_dominated_or_equal(self, case, data):
+        # Through the one bucket c and s share: position i, at a value >= 1.
+        packing, (s, c) = case
+        if packing.bits == 0:
+            return  # every coordinate is 0: no bucket is ever filed
+        i = data.draw(st.integers(0, len(s) - 1))
+        v = max(s[i], 1)
+        s, c = s[:i] + (v,) + s[i + 1 :], c[:i] + (v,) + c[i + 1 :]
+        buckets = core.PackedBuckets(packing)
+        buckets.add(packing.pack(s))
+        assert buckets.bounds(packing.pack(c), i) == dominated_or_equal(s, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        top=st.sampled_from([1, 2, 3, COEFFICIENT_LIMIT]),
+        data=st.data(),
+    )
+    def test_packed_buckets_are_the_tuple_buckets(self, n, top, data):
+        # One sequence of adds and tests, given to both forms.
+        coord = st.sampled_from([0, 1, top]) | st.integers(0, top)
+        vector = st.tuples(*[coord] * n)
+        packing = core.packing(n, top)
+        packed, plain = core.PackedBuckets(packing), core.DominanceBuckets(n)
+        for _ in range(data.draw(st.integers(1, 40))):
+            x = data.draw(vector)
+            if data.draw(st.booleans()):
+                packed.add(packing.pack(x))
+                plain.add(x)
+            else:
+                i = data.draw(st.integers(0, n - 1))
+                assert packed.bounds(packing.pack(x), i) == plain.bounds(x, i)
+        assert list(map(packing.unpack, packed.solutions)) == plain.solutions
+
+    def test_weight_vector_packs_to_its_larger_side(self):
+        w = build_weights(EQ6)
+        assert w.packing is core.packing(8, 174)
+        assert w.packing.bits == 8
+
+
 def pareto_reference(vecs):
     """One vector at a time in ascending coordinate sum, then sorted: a
     sweep order of its own, the reference for both paths of pareto_min."""

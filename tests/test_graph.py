@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diobasis import graph
+from diobasis import core, graph
 from diobasis.bench import SOLVERS
 from diobasis.completion import completion_solve
 from diobasis.core import (
@@ -179,8 +179,7 @@ class TestGraphSolve:
     def test_check_invariants_raises_on_two_sided_seeds(self, monkeypatch):
         # Seeded on both sides, the search builds solutions from both ends.
         def both_sides(w):
-            n = len(w)
-            return [(tuple(int(j == i) for j in range(n)), w.w[i]) for i in range(n)]
+            return [(w.packing.units[i], w.w[i]) for i in range(len(w))]
 
         monkeypatch.setattr(graph, "initial_proposals", both_sides)
         for _ in level_paths(monkeypatch):
@@ -204,6 +203,19 @@ class TestGraphSolve:
                 continue  # every level is narrow: no level state is made
             with pytest.raises(AssertionError, match="scan cut"):
                 graph_solve(eq, check_invariants=True)
+
+    @pytest.mark.parametrize("solve", [graph_solve, completion_solve])
+    def test_check_invariants_raises_on_a_field_overflow(self, monkeypatch, solve):
+        # Packed one bit too narrow, a coordinate of 8 or more carries into
+        # a guard bit: "9 5 = 2 7 12" has basis members with coordinates up
+        # to 12, and its search stays narrow.
+        eq = parse_equation("9 5 = 2 7 12")
+        monkeypatch.setattr(
+            core, "packing", lambda n, top: core.Packing(n, top.bit_length() - 1)
+        )
+        assert build_weights(eq).packing.bits == 3
+        with pytest.raises(AssertionError, match="field overflow"):
+            solve(eq, check_invariants=True)
 
     def test_frontier_cap(self):
         with pytest.raises(ResourceLimitError):
