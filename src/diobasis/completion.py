@@ -15,7 +15,7 @@ is lost.  Children with defect zero are emitted as solutions; other children
 survive only while no already-found solution dominates them, which cannot
 discard a prefix of a minimal solution's path.  A child c = x + e_i can only
 be bounded by a solution s with s_i = c_i, since its parent x survived the
-same test one step earlier (``core.DominanceBuckets``), so the test scans
+same test one step earlier (``core.PackedBuckets``), so the test scans
 just those solutions.
 
 A walk's vector is carried packed into one int by the weights' ``packing``
@@ -74,7 +74,7 @@ def initial_proposals(w: WeightVector) -> list[Walk]:
 def completion_step(
     w: WeightVector,
     walks: list[Walk],
-    bounds: Callable[[int, int], bool] | None,
+    bounds: Callable[[int, int], bool],
     deadline: Deadline | None = None,
 ) -> tuple[list[int], list[Walk], int]:
     """One completion round: extend every walk, split off solutions.
@@ -87,10 +87,10 @@ def completion_step(
     coordinate its walks reach, or the increment carries into a guard bit.
     A child x + e_i survives unless ``bounds(child, i)`` is true: a
     ``PackedBuckets.bounds`` that holds every solution of coordinate sum
-    below the walks', a wrapper of one, or None to keep every child.  The
-    scan rule makes duplicate children impossible, so the step does not
-    look for them.  ``deadline`` is checked before the first walk and then
-    every 256 walks.
+    below the walks', a wrapper of one, or a test that never bounds, to
+    keep every child.  The scan rule makes duplicate children impossible,
+    so the step does not look for them.  ``deadline`` is checked before the
+    first walk and then every 256 walks.
     """
     if deadline is not None:
         # One check per 256 walks: expand the level in slices of that many.
@@ -117,7 +117,7 @@ def completion_step(
             dc = d + weights[i]
             if not dc:
                 emitted.append(child)
-            elif bounds is None or not bounds(child, i):
+            elif not bounds(child, i):
                 kept.append((child, dc))
             if x & fields[i]:
                 break

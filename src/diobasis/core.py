@@ -251,8 +251,8 @@ def defect(w: WeightVector, x: Sequence[int]) -> int:
 def dominated_or_equal(s: Sequence[int], t: Sequence[int]) -> bool:
     """True when s <= t componentwise (equality allowed): the package's one
     componentwise test on tuples, which every other dominance check on
-    tuples calls.  The unit-step search's packed walks have the guard test
-    of ``Packing`` instead."""
+    tuples calls.  Vectors packed by ``Packing`` (the unit-step search's
+    walks and every ``PackedBuckets``) have its guard test instead."""
     return all(map(operator.le, s, t))
 
 
@@ -506,15 +506,19 @@ class DominanceIndex:
         return hits
 
 
-class DominanceBuckets:
-    """Exact dominance test for a search that grows vectors by unit steps.
+class PackedBuckets:
+    """Exact dominance test for a search that grows vectors by unit steps,
+    over vectors packed by ``packing``.
 
     Found solutions are kept in buckets keyed by (position, value), one entry
-    per nonzero coordinate.  ``bounds(child, i)`` scans the one bucket
-    ``(i, child[i])``.  That is the whole test when c = x + e_i has a
-    nonzero defect, its parent x had a nonzero defect and was bounded by no
-    added solution when it was tested, and every added solution of
-    coordinate sum below |x| was added before that test:
+    per nonzero coordinate: bucket (i, v) is keyed by the masked field
+    ``p & fields[i]``, which no other bucket shares, so one dict holds them
+    all, and 0 is never a key.  ``bounds(child, i)`` scans the one bucket
+    (i, child_i) with the guard test (``Packing``).  Every vector added or
+    tested must have no guard bit set.  The scan is the whole test when
+    c = x + e_i has a nonzero defect, its parent x had a nonzero defect and
+    was bounded by no added solution when it was tested, and every added
+    solution of coordinate sum below |x| was added before that test:
 
     - Let s be an added solution with s <= c.  s != c, since c has a
       nonzero defect, so s < c and |s| <= |x|.
@@ -525,47 +529,11 @@ class DominanceBuckets:
 
     Completion and the graph search expand level by level in coordinate
     sum and add each level's solutions before testing the next level's
-    children, which is the condition above.  They carry their walks packed
-    and keep the same buckets over packed ints, ``PackedBuckets``.
-
-    ``lex.prefix_walk`` is the one user of this tuple form, with a
-    precondition of its own.  It tests ``bounds(prefix, i)`` at every value
-    > 0 its loop over position i reaches, in ascending order under one
-    parent prefix that no added solution bounds, and it stops the loop after
-    a balanced prefix.  Its slopes floors only stop loops early and never
-    skip a balanced leaf.  Then any added s <= prefix has s_i = prefix_i, by
-    the argument in that function's docstring.  Lex keeps tuples because it
-    moves one coordinate through many values per prefix, and a packed
-    prefix would pay an addition per value tried.
+    children, which is the condition above.  ``lex.prefix_walk`` meets a
+    precondition of its own, under which every added s <= prefix has
+    s_i = prefix_i (that function's docstring), and probes a value's key in
+    ``buckets`` before it calls ``bounds``.
     """
-
-    def __init__(self, n: int):
-        self.solutions: list[Solution] = []
-        self.buckets: list[dict[int, list[Solution]]] = [{} for _ in range(n)]
-
-    def add(self, sol: Solution) -> None:
-        self.solutions.append(sol)
-        for bucket, v in zip(self.buckets, sol):
-            if v:
-                bucket.setdefault(v, []).append(sol)
-
-    def bounds(self, child: Solution, i: int) -> bool:
-        """Is some added solution dominated by or equal to ``child``, the
-        search's last step having incremented position ``i``?  Each member
-        of the bucket (i, child[i]) gets the full ``dominated_or_equal``
-        test, and the scan stops at the first hit."""
-        for s in self.buckets[i].get(child[i], ()):
-            if dominated_or_equal(s, child):
-                return True
-        return False
-
-
-class PackedBuckets:
-    """``DominanceBuckets`` over vectors packed by ``packing``: bucket
-    (i, v) is keyed by the masked field ``p & fields[i]``, which no other
-    bucket shares, so one dict holds them all, and ``bounds`` scans a bucket
-    with the guard test (``Packing``), the kernel of the unit-step search.
-    Every vector added or tested must have no guard bit set."""
 
     def __init__(self, packing: Packing):
         self.fields = packing.fields
@@ -580,7 +548,10 @@ class PackedBuckets:
                 self.buckets.setdefault(sol & mask, []).append(sol)
 
     def bounds(self, child: int, i: int) -> bool:
-        """``DominanceBuckets.bounds`` on packed vectors."""
+        """Is some added solution dominated by or equal to ``child``, the
+        search's last step having incremented position ``i``?  Each member
+        of the bucket (i, child_i) gets the guard test, and the scan stops
+        at the first hit."""
         guards = self.guards
         lifted = child | guards
         for s in self.buckets.get(child & self.fields[i], ()):

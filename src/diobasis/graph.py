@@ -48,10 +48,10 @@ A narrow level tests each child as it is made.  The child c = x + e_i
 extends a walk x that survived the prune one level earlier, so a found
 solution below c has a smaller coordinate sum and agrees with c at i: only
 the solutions whose i-th count equals c_i need scanning
-(``core.DominanceBuckets``).  The buckets hold the packed solutions
-(``core.PackedBuckets``), and each member scanned costs one guard-bit
-subtraction, so on a thin level a batched call of fixed cost (about 25 us)
-gives way to a few integer operations.  A wide level tests its children
+(``core.PackedBuckets``).  The buckets hold the packed solutions, and
+each member scanned costs one guard-bit subtraction, so on a thin level a
+batched call of fixed cost (about 25 us) gives way to a few integer
+operations.  A wide level tests its children
 with one batched call to the ``DominanceIndex``.  Past the cap, buckets
 hold too many solutions to scan per child, and every emission of a wide
 level would pay n bucket appends, so the search drops them and expands
@@ -147,12 +147,12 @@ class _Search:
     state of three arrays, the walks' int32 label counts, their defects and
     their scan cuts (``scan_cuts``), with the bitset test; both apply the
     same scan rule.  ``to_rows`` unpacks walks into a level state, computing
-    the cuts once, and ``to_walks`` packs its rows and drops the cuts.  The
-    ndarray side (``weights``, ``label_arrays``, ``scan_table``, ``positive``
-    and ``index``) is built by ``build_arrays`` on the first wide level.  With
-    ``check`` it is built at the start, since the audits read the bitset,
-    and both paths also raise ``AssertionError`` on a broken invariant
-    (module docstring).
+    the cuts once, and ``to_walks`` packs its rows and defects back into
+    walks.  The ndarray side (``weights``, ``label_arrays``, ``scan_table``,
+    ``positive`` and ``index``) is built by ``build_arrays`` on the first
+    wide level.  With ``check`` it is built at the start, since the audits
+    read the bitset, and both paths also raise ``AssertionError`` on a
+    broken invariant (module docstring).
     """
 
     def __init__(self, w: WeightVector, stats: GraphStats, check: bool):
@@ -188,9 +188,7 @@ class _Search:
         if self.solutions:
             self.index.add(np.array(self.solutions, dtype=np.int32))
 
-    def to_walks(
-        self, rows: np.ndarray, defects: np.ndarray, cuts: np.ndarray
-    ) -> list[Walk]:
+    def to_walks(self, rows: np.ndarray, defects: np.ndarray) -> list[Walk]:
         return list(zip(map(self.packing.pack, rows.tolist()), defects.tolist()))
 
     def to_rows(self, walks: list[Walk]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -397,7 +395,7 @@ def _solve(
         stats.walks_expanded += width
         if width <= NARROW_FRONTIER and search.buckets is not None:
             if wide is not None:
-                walks, wide = search.to_walks(*wide), None
+                walks, wide = search.to_walks(*wide[:2]), None
             walks = search.narrow_level(walks)
         else:
             if wide is None:

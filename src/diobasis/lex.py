@@ -26,9 +26,9 @@ from typing import Any, Callable, Sequence
 from .core import (
     BasisList,
     Deadline,
-    DominanceBuckets,
     Equation,
     InsertStats,
+    PackedBuckets,
     Solution,
     WeightVector,
     dominated_or_equal,
@@ -144,7 +144,7 @@ def prefix_walk(
     The walk also prunes by the solutions it has met (Huet 1978).  A leaf
     whose prefix is nonzero and balanced (``d == 0``) is itself a solution
     with a zero tail, which the leaf emits; the walk files it in its own
-    ``DominanceBuckets``.  A prefix that bounds a filed solution s can only
+    ``PackedBuckets``.  A prefix that bounds a filed solution s can only
     extend to s itself, already met, or to vectors above s, which are not
     minimal.  So the value loop at (j, value) breaks once the prefix bounds
     a filed solution; larger values bound it too.  After a balanced nonzero
@@ -165,6 +165,14 @@ def prefix_walk(
       induction.  With s[order[j]] > 0, s bounds the sibling of that value,
       which was tested with s in its bucket, and the loop broke there.
     So a blocker has exactly ``value`` at order[j].
+
+    The walk carries the prefix packed too, p == pack(assigned).  A value's
+    prefix c differs from p by that value's field at order[j], the bucket's
+    key, so an empty bucket costs one subtraction and one dict probe, with
+    no call.  No field of ``w.packing``, ``packing(n, max(max_a, max_b))``,
+    overflows: every value the walk assigns is at most its budget, max_b at
+    a positive position and max_a at a negative one under either bound, and
+    the tail positions stay 0 while the walk runs.
 
     Slopes' tail is x, of weight a > 0, followed by negative positions.
     It passes ``floors``, a list its leaf appends (q, a*xs) to when
@@ -215,18 +223,21 @@ def prefix_walk(
         while floor_from and ordered[floor_from - 1] < 0:
             floor_from -= 1
 
-    blockers = DominanceBuckets(len(weights))
+    units = w.packing.units
+    blockers = PackedBuckets(w.packing)
+    buckets = blockers.buckets
 
-    def walk(j: int, d: int, pos_budget: int, neg_budget: int) -> None:
+    def walk(j: int, d: int, pos_budget: int, neg_budget: int, p: int) -> None:
         stats.prefixes += 1
         if not stats.prefixes % 1024:
             deadline.check()
         if j == stop:
             leaf(d, pos_budget, neg_budget)
-            if d == 0 and any(assigned):
-                blockers.add(tuple(assigned))
+            if d == 0 and p:
+                blockers.add(p)
             return
         pos = order[j]
+        unit = units[pos]
         wj = ordered[j]
         cap = pos_budget if wj > 0 else neg_budget
         # Per value, a spent budget falls by one on wj's side.
@@ -235,11 +246,13 @@ def prefix_walk(
         floored = j >= floor_from
         dv = d
         pb, nb = pos_budget, neg_budget
+        c = p
         for value in range(cap + 1):
             if value:
                 dv += wj
                 pb -= pos_step
                 nb -= neg_step
+                c += unit
             assigned[pos] = value
             # Remaining positions can shift the defect by at most [lo, hi];
             # once 0 falls outside, larger values only push further out.
@@ -249,7 +262,8 @@ def prefix_walk(
                 break
             if wj < 0 and dv + hi < 0:
                 break
-            if value and blockers.bounds(assigned, pos):
+            # c - p is the bucket key of (pos, value); 0 is never a key.
+            if c - p in buckets and blockers.bounds(c, pos):
                 break
             if floored and dv < 0 and any(
                 need <= -dv and dominated_or_equal(q, assigned) for q, need in floors
@@ -257,12 +271,12 @@ def prefix_walk(
                 break
             if dv + lo > 0 or dv + hi < 0:
                 continue
-            walk(j + 1, dv, pb, nb)
-            if dv == 0 and any(assigned):
+            walk(j + 1, dv, pb, nb, c)
+            if dv == 0 and c:
                 break
         assigned[pos] = 0
 
-    walk(0, 0, w.max_b, w.max_a)
+    walk(0, 0, w.max_b, w.max_a, 0)
 
 
 def tail_leaf(

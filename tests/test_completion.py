@@ -43,6 +43,11 @@ def packed(w, walks):
     return [(w.packing.pack(x), d) for x, d in walks]
 
 
+def never(child, i):
+    """A bucket test that bounds no child: the unpruned step."""
+    return False
+
+
 class TestCompletionSolve:
     def test_one_equals_two(self):
         assert completion_solve((1, -2)) == [(2, 1)]
@@ -72,17 +77,17 @@ class TestCompletionStep:
         # meets in the same vector; the step does not look for duplicates.
         w = WeightVector((1, -2))
         walks = packed(w, [((1, 0), 1), ((0, 1), -2)])
-        emitted, kept, children = completion_step(w, walks, None)
+        emitted, kept, children = completion_step(w, walks, never)
         assert (emitted, unpacked(w, kept), children) == ([], [((1, 1), -1)] * 2, 2)
 
     def test_one_sided_seeds_never_collide(self):
         w = WeightVector((1, -2))
-        emitted, kept, children = completion_step(w, initial_proposals(w), None)
+        emitted, kept, children = completion_step(w, initial_proposals(w), never)
         assert (emitted, unpacked(w, kept), children) == ([], [((1, 1), -1)], 1)
 
     def test_single_step_solution(self):
         w = WeightVector((1, -1))
-        emitted, kept, children = completion_step(w, initial_proposals(w), None)
+        emitted, kept, children = completion_step(w, initial_proposals(w), never)
         assert (list(map(w.packing.unpack, emitted)), kept, children) == ([(1, 1)], [], 1)
 
     def test_check_invariants_raises_on_two_sided_seeds(self, monkeypatch):
@@ -123,7 +128,7 @@ class TestCompletionStep:
         unpack, guards = scaled.packing.unpack, scaled.packing.guards
         walks = initial_proposals(scaled)
         for level in range(1, 7):
-            emitted, walks, children = completion_step(scaled, walks, None)
+            emitted, walks, children = completion_step(scaled, walks, never)
             assert children == len(emitted) + len(walks)
             assert len(set(emitted)) == len(emitted)
             assert len(set(walks)) == len(walks)
@@ -236,7 +241,7 @@ class TestCompletionInvariants:
             unpack = w.packing.unpack
             walks, found = initial_proposals(w), []
             while walks:
-                emitted, kept, children = completion_step(w, walks, None)
+                emitted, kept, children = completion_step(w, walks, never)
                 assert children == len(emitted) + len(kept)
                 assert all(-w.max_b <= d <= w.max_a for _, d in kept)
                 found = sorted(found + list(map(unpack, emitted)))

@@ -270,7 +270,7 @@ class TestDominanceIndex:
         assert len(basis) == 20006
 
 
-class TestDominanceBuckets:
+class TestPackedBuckets:
     @settings(max_examples=60, deadline=None)
     @given(
         lhs=st.lists(st.integers(1, 9), min_size=1, max_size=3),
@@ -279,10 +279,13 @@ class TestDominanceBuckets:
     def test_bucket_verdict_is_the_full_scan(self, lhs, rhs):
         # Completion's search by coordinate sum, without its scan rule so
         # that every child is reached from every parent: each nonzero-defect
-        # child is tested against the solutions of smaller sum.
+        # child is tested against the solutions of smaller sum.  Children
+        # are packed with fields up to 255, far above any coordinate here,
+        # so no guard bit is ever set.
         w = build_weights(Equation(tuple(lhs), tuple(rhs))).w
         n = len(w)
-        found, kept = core.DominanceBuckets(n), []
+        packing = core.packing(n, 255)
+        found, kept = core.PackedBuckets(packing), []
         level = {tuple(int(j == i) for j in range(n)): w[i] for i in range(n) if w[i] > 0}
         while level:
             emitted, nxt = set(), {}
@@ -294,12 +297,13 @@ class TestDominanceBuckets:
                     if d + w[i] == 0:
                         emitted.add(child)
                         continue
-                    hit = found.bounds(child, i)
+                    assert max(child) < 1 << packing.bits
+                    hit = found.bounds(packing.pack(child), i)
                     assert hit == core.is_dominated(kept, child), (w, child)
                     if not hit:
                         nxt[child] = d + w[i]
             for sol in emitted:
-                found.add(sol)
+                found.add(packing.pack(sol))
                 insert_minimal(kept, sol)
             level = nxt
         assert sorted(kept) == oracle_basis(Equation(tuple(lhs), tuple(rhs)))
@@ -356,20 +360,24 @@ class TestPacking:
         data=st.data(),
     )
     def test_packed_buckets_are_the_tuple_buckets(self, n, top, data):
-        # One sequence of adds and tests, given to both forms.
+        # One sequence of adds and tests, given to the buckets and to the
+        # bucket rule written out on tuples: bounds(x, i) holds when some
+        # added s has s_i == x_i > 0 and s <= x.
         coord = st.sampled_from([0, 1, top]) | st.integers(0, top)
         vector = st.tuples(*[coord] * n)
         packing = core.packing(n, top)
-        packed, plain = core.PackedBuckets(packing), core.DominanceBuckets(n)
+        packed, plain = core.PackedBuckets(packing), []
         for _ in range(data.draw(st.integers(1, 40))):
             x = data.draw(vector)
             if data.draw(st.booleans()):
                 packed.add(packing.pack(x))
-                plain.add(x)
+                plain.append(x)
             else:
                 i = data.draw(st.integers(0, n - 1))
-                assert packed.bounds(packing.pack(x), i) == plain.bounds(x, i)
-        assert list(map(packing.unpack, packed.solutions)) == plain.solutions
+                assert packed.bounds(packing.pack(x), i) == any(
+                    s[i] == x[i] > 0 and dominated_or_equal(s, x) for s in plain
+                )
+        assert list(map(packing.unpack, packed.solutions)) == plain
 
     def test_weight_vector_packs_to_its_larger_side(self):
         w = build_weights(EQ6)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diobasis import lex
+from diobasis import lex, slopes
 from diobasis.core import (
-    DominanceBuckets,
     Equation,
+    PackedBuckets,
     WeightVector,
     build_weights,
+    defect,
     dominated_or_equal,
     insert_minimal,
     oracle_basis,
@@ -163,12 +164,26 @@ class TestWalkCounters:
         assert all(g <= u for g, u in zip(got, unpruned))
 
 
-class FullScanBlockers(DominanceBuckets):
-    """The walk's blockers with the bucket shortcut taken out: ``bounds``
-    tests the child against every filed solution."""
+class EveryKey(dict):
+    """A bucket dict in which every key is filed."""
+
+    def __contains__(self, key):
+        return True
+
+
+class FullScanBlockers(PackedBuckets):
+    """The walk's blockers with the bucket shortcut taken out: every key
+    probe hits, and ``bounds`` tests the child against every filed
+    solution."""
+
+    def __init__(self, packing):
+        super().__init__(packing)
+        self.buckets = EveryKey()
+        self.unpack = packing.unpack
 
     def bounds(self, child, i):
-        return any(dominated_or_equal(s, child) for s in self.solutions)
+        x = self.unpack(child)
+        return any(dominated_or_equal(self.unpack(s), x) for s in self.solutions)
 
 
 def walk_runs(eq):
@@ -184,18 +199,20 @@ def walk_runs(eq):
     return runs
 
 
-class TestWalkPrune:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        sides=st.integers(2, 6).flatmap(
-            lambda n: st.integers(1, n - 1).flatmap(
-                lambda k: st.tuples(
-                    st.lists(st.integers(1, 15), min_size=k, max_size=k),
-                    st.lists(st.integers(1, 15), min_size=n - k, max_size=n - k),
-                )
-            )
+# The two sides of an equation of 2 to 6 unknowns, coefficients up to 15.
+equation_sides = st.integers(2, 6).flatmap(
+    lambda n: st.integers(1, n - 1).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.integers(1, 15), min_size=k, max_size=k),
+            st.lists(st.integers(1, 15), min_size=n - k, max_size=n - k),
         )
     )
+)
+
+
+class TestWalkPrune:
+    @settings(max_examples=25, deadline=None)
+    @given(sides=equation_sides)
     # Slopes enumerates the weights 2, -2, -4 here.  The prefix (1, 1)
     # balances, and so does its value 0 at -4, whose later values only the
     # balanced-prefix break stops: no bucket lookup finds that blocker.
@@ -208,11 +225,57 @@ class TestWalkPrune:
         want = oracle_basis(eq)
         bucketed = walk_runs(eq)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lex, "DominanceBuckets", FullScanBlockers)
+            mp.setattr(lex, "PackedBuckets", FullScanBlockers)
             scanned = walk_runs(eq)
         for (prefixes, basis), (full_prefixes, full_basis) in zip(bucketed, scanned):
             assert prefixes == full_prefixes, eq.text()
             assert basis == full_basis == want, eq.text()
+
+    @settings(max_examples=40, deadline=None)
+    @given(sides=equation_sides)
+    @example(sides=([2, 6], [2, 4, 3, 1]))
+    def test_blockers_fit_the_packing(self, sides):
+        # Every blocker the walk files or tests is packed by its weights'
+        # packing with no guard bit set, and every filed one is a balanced
+        # nonzero prefix, zero on the tail, within the Huet caps.
+        eq = Equation(tuple(sides[0]), tuple(sides[1]))
+        walks = []  # per walk: weights, tail positions, filed, tested
+
+        def recording_walk(w, order, tail, *args, **kwargs):
+            walks.append((w, order[len(order) - tail :], [], []))
+            prefix_walk(w, order, tail, *args, **kwargs)
+
+        class RecordingBlockers(PackedBuckets):
+            def __init__(self, packing):
+                assert packing is walks[-1][0].packing
+                super().__init__(packing)
+
+            def add(self, sol):
+                walks[-1][2].append(sol)
+                super().add(sol)
+
+            def bounds(self, child, i):
+                walks[-1][3].append(child)
+                return super().bounds(child, i)
+
+        prefix_walk = lex.prefix_walk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lex, "PackedBuckets", RecordingBlockers)
+            mp.setattr(lex, "prefix_walk", recording_walk)
+            mp.setattr(slopes, "prefix_walk", recording_walk)
+            runs = walk_runs(eq)
+        want = oracle_basis(eq)
+        assert all(basis == want for _, basis in runs)
+        assert len(walks) == len(runs)
+        for w, tail, filed, tested in walks:
+            packing = w.packing
+            assert not any(p & packing.guards for p in filed + tested)
+            for p in filed:
+                x = packing.unpack(p)
+                assert any(x) and defect(w, x) == 0, (eq.text(), x)
+                assert not any(x[i] for i in tail), (eq.text(), x)
+                for xi, wi in zip(x, w.w):
+                    assert xi <= (w.max_b if wi > 0 else w.max_a), (eq.text(), x)
 
 
 class TestTailSolveOne:
