@@ -32,12 +32,17 @@ nonzero solution below x, and a basis element below it, of coordinate sum
 below x's, would have pruned x.  Levels go by ascending coordinate sum, so
 the search meets ``insert_minimal``'s precondition too.
 
-``completion_step`` is the one unit-step expansion of the package: the
-graph search runs it on its narrow levels (``graph.py``).
+``completion_step`` is the package's one unit-step expansion and
+``expand`` its one level loop, with its one audit and one stats record:
+``completion_solve`` runs the loop to the end, and the graph search runs
+each stretch of narrow levels through it (``graph.py``).  Each walk costs
+a few integer operations, and a level a few attribute updates, so a deep
+search of thin levels costs per walk, not per level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -47,6 +52,7 @@ from .core import (
     Equation,
     InsertStats,
     PackedBuckets,
+    Solution,
     WeightVector,
     insert_minimal,
     is_dominated,
@@ -59,9 +65,14 @@ Walk = tuple[int, int]
 
 @dataclass
 class CompletionStats:
+    """Counters of one unit-step search, completion's or the graph
+    search's (``graph.GraphStats`` is this record)."""
+
     levels: int = 0
-    proposals_processed: int = 0
+    walks_expanded: int = 0
     children: int = 0
+    pruned_dominated: int = 0
+    max_frontier: int = 0
     insert: InsertStats = field(default_factory=InsertStats)
 
 
@@ -124,6 +135,91 @@ def completion_step(
     return emitted, kept, children
 
 
+def expand(
+    w: WeightVector,
+    walks: list[Walk],
+    found: PackedBuckets,
+    stats: CompletionStats,
+    deadline: Deadline,
+    check: bool = False,
+    width: float = math.inf,
+    cap: float = math.inf,
+) -> list[Walk]:
+    """Expand levels by ``completion_step`` until no walk is left, a level
+    holds more than ``width`` walks or ``found`` holds more than ``cap``
+    solutions, and return that level's walks.
+
+    ``found`` must hold every solution of coordinate sum below the walks';
+    each level's children are tested against it and its emissions added.
+    ``deadline`` is checked once per level, and on a level of more than 256
+    walks ``completion_step`` checks it every 256 walks as well: slicing
+    every level cost a deep search of thin levels 5-8%.  With ``check`` the
+    loop also keeps a reference basis of every solution in ``found``,
+    unpacked, by ``insert_minimal``, checks each bucket verdict against
+    ``is_dominated`` on it, and raises ``AssertionError`` on a child or
+    emission with a guard bit set or over a side-sum cap, a duplicate
+    emission or walk and a dominated emission.
+    """
+    bounds, solutions = found.bounds, found.solutions
+    if check:
+        bounds, audit = _audit(w, found)
+    while walks:
+        n = len(walks)
+        if n > width or len(solutions) > cap:
+            break
+        deadline.check()
+        stats.levels += 1
+        stats.walks_expanded += n
+        if n > stats.max_frontier:
+            stats.max_frontier = n
+        emitted, walks, children = completion_step(
+            w, walks, bounds, deadline if n > 256 else None
+        )
+        stats.children += children
+        stats.pruned_dominated += children - len(emitted) - len(walks)
+        stats.insert.inserted += len(emitted)
+        if check:
+            audit(emitted, walks)
+        for sol in emitted:
+            found.add(sol)
+    return walks
+
+
+def _audit(w: WeightVector, found: PackedBuckets):
+    """``expand``'s checks: the bucket test of ``found`` checked against a
+    reference basis, and a level audit that grows that basis."""
+    unpack, guards = w.packing.unpack, w.packing.guards
+    reference: BasisList = []
+
+    def vector(p: int) -> Solution:
+        if p & guards:
+            raise AssertionError("field overflow")
+        v = unpack(p)
+        positive = sum(v[i] for i in w.positive_positions)
+        if positive > w.max_b or sum(v) - positive > w.max_a:
+            raise AssertionError("walk over a side-sum cap")
+        return v
+
+    def bounds(child: int, i: int) -> bool:
+        v = vector(child)
+        hit = found.bounds(child, i)
+        if hit != is_dominated(reference, v):
+            raise AssertionError(f"bucket test disagrees with is_dominated on {v}")
+        return hit
+
+    def audit(emitted: list[int], walks: list[Walk]) -> None:
+        for items, what in ((emitted, "emission"), (walks, "walk")):
+            if len(set(items)) < len(items):
+                raise AssertionError(f"duplicate {what}; scan rule violated")
+        for sol in emitted:
+            if not insert_minimal(reference, vector(sol)):
+                raise AssertionError(f"dominated emission {unpack(sol)}")
+
+    for sol in found.solutions:
+        insert_minimal(reference, unpack(sol))
+    return bounds, audit
+
+
 def completion_solve(
     problem: Equation | Sequence[int],
     *,
@@ -132,15 +228,13 @@ def completion_solve(
     check_invariants: bool = False,
 ) -> BasisList:
     """Basis of an equation or a signed weight sequence by the completion
-    procedure (normalized by ``core.solve_normalized``).
+    procedure (normalized by ``core.solve_normalized``): ``expand`` run from
+    the seeds until no walk is left.
 
-    With ``check_invariants`` the search also keeps a reference basis of
-    unpacked vectors by ``insert_minimal``, checks each dominance verdict
-    against ``is_dominated`` on it, and raises ``AssertionError`` on a child
-    with a guard bit set, a duplicate emission or walk and a dominated
-    emission; the width argument, the scan rule, the equal-sum argument and
-    the bucket argument prove none of that can fire, so by default the
-    search does not pay for it.
+    With ``check_invariants`` the loop runs its audit (``expand``); the
+    width argument, the scan rule, the equal-sum argument and the bucket
+    argument prove none of it can fire, so by default the search does not
+    pay for it.
     """
     return solve_normalized(
         problem,
@@ -157,39 +251,6 @@ def _solve(
     deadline: Deadline,
     check_invariants: bool,
 ) -> BasisList:
-    unpack, guards = w.packing.unpack, w.packing.guards
     found = PackedBuckets(w.packing)
-    bounds = found.bounds
-    if check_invariants:
-        reference: BasisList = []
-
-        def bounds(child: int, i: int) -> bool:
-            if child & guards:
-                raise AssertionError("field overflow")
-            hit = found.bounds(child, i)
-            if hit != is_dominated(reference, unpack(child)):
-                raise AssertionError(
-                    f"bucket test disagrees with is_dominated on {unpack(child)}"
-                )
-            return hit
-
-    walks = initial_proposals(w)
-    while walks:
-        width = len(walks)
-        emitted, walks, children = completion_step(w, walks, bounds, deadline)
-        stats.levels += 1
-        stats.proposals_processed += width
-        stats.children += children
-        if check_invariants:
-            for items, what in ((emitted, "emission"), (walks, "walk")):
-                if len(set(items)) < len(items):
-                    raise AssertionError(f"duplicate {what}; scan rule violated")
-            for sol in emitted:
-                if sol & guards:
-                    raise AssertionError("field overflow")
-                if not insert_minimal(reference, unpack(sol)):
-                    raise AssertionError(f"dominated emission {unpack(sol)}")
-        stats.insert.inserted += len(emitted)
-        for sol in emitted:
-            found.add(sol)
-    return list(map(unpack, sorted(found.solutions)))
+    expand(w, initial_proposals(w), found, stats, deadline, check_invariants)
+    return list(map(w.packing.unpack, sorted(found.solutions)))

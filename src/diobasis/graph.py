@@ -27,56 +27,40 @@ packed walks below rely on.
 ``build_defect_graph`` builds the digraph itself, as a dict from node to
 edges, for ``solve --emit-graph`` to dump.
 
-A level is expanded one of two ways, and each way has one prune.  A level
-of at most ``NARROW_FRONTIER`` walks, while the search has found at most
-``BUCKET_SOLUTIONS`` (256) solutions, is expanded walk by walk by the
-completion procedure's own step, ``completion.completion_step``, each walk
-its label counts packed into one int (``core.Packing``) and carried with its
-defect, so a deep search of thin levels costs per walk, not per level, and a
-child costs one addition.  Every other level is expanded in vectorized
-passes over an int32 array of walks, an array of their defects
+A level is expanded one of two ways, and each way has one prune.  While
+levels hold at most ``NARROW_FRONTIER`` walks and the search has found at
+most ``BUCKET_SOLUTIONS`` solutions, the search runs completion's own level
+loop, ``completion.expand``, with its bucket test, its audit and its stats
+record (``GraphStats`` is ``completion.CompletionStats``); the loop returns
+the first level past either bound.  Every other level is expanded in
+vectorized passes over an int32 array of walks, an array of their defects
 and, per walk and side, its scan cut: the scan position of the walk's first
 used label on that side, up to which the scan rule expands it.  A child's
 defect is its parent's plus the weight of its label, and its cuts are its
 parent's but on the side it grew, where its label is now the first used
-one, so a wide level never rescans its rows.  Both paths apply the same
-scan rule to the same seeds, ``completion.initial_proposals``.  The label
-arrays and the bitset index are built on the first wide level, so a search
-of narrow levels alone runs without numpy.
-
-A narrow level tests each child as it is made.  The child c = x + e_i
-extends a walk x that survived the prune one level earlier, so a found
-solution below c has a smaller coordinate sum and agrees with c at i: only
-the solutions whose i-th count equals c_i need scanning
-(``core.PackedBuckets``).  The buckets hold the packed solutions, and
-each member scanned costs one guard-bit subtraction, so on a thin level a
-batched call of fixed cost (about 25 us) gives way to a few integer
-operations.  A wide level tests its children
-with one batched call to the ``DominanceIndex``.  Past the cap, buckets
-hold too many solutions to scan per child, and every emission of a wide
-level would pay n bucket appends, so the search drops them and expands
-every later level in vectorized passes, however narrow.  Once built, the
-``DominanceIndex`` takes every solution found before it, in the order they
-were found, and then each level's emissions as the level ends, on either
-path.  A wide level tests all its children, solutions included, before it
-indexes its emissions, so one mask drops both the solutions and the bounded
-children: an emission bounding a child of its own level would share its
-coordinate sum and so equal it, which a child of nonzero defect cannot.
+one, so a wide level never rescans its rows.  It tests its children with
+one batched call to the ``DominanceIndex``, built with the label arrays on
+the first wide level, so a search of narrow levels alone runs without
+numpy.  Each stretch of wide levels first indexes the solutions found since
+the index last read them, in the order they were found.  A wide level
+tests all its children, solutions included, before it indexes its
+emissions as the int32 rows they are, so one mask drops both the solutions
+and the bounded children: an emission bounding a child of its own level
+would share its coordinate sum and so equal it, which a child of nonzero
+defect cannot.
 
 The scan rule makes duplicate walks impossible, and emissions within a
 level share a coordinate sum, so they never dominate each other or an
 earlier solution.  The search therefore does not test for either, nor for
 side sums or field overflows.  ``check_invariants=True`` runs the same
-prunes and raises ``AssertionError`` on a duplicate walk or emission within
-a level, an emission bounded by an earlier solution, a child over a
-side-sum cap, a narrow child with a guard bit set, a carried scan cut that
-differs from the one its row gives, or a bucket verdict that the bitset
-index contradicts.
+prunes with completion's audit on narrow levels (``completion.expand``),
+and on a wide level raises ``AssertionError`` on a carried scan cut that
+differs from its row's, a duplicate child, a child over a side-sum cap or
+an emission bounded by an earlier solution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .core import (
@@ -84,27 +68,23 @@ from .core import (
     Deadline,
     DominanceIndex,
     Equation,
-    InsertStats,
     PackedBuckets,
     ResourceLimitError,
     Solution,
     WeightVector,
     solve_normalized,
 )
-from .completion import Walk, completion_step, initial_proposals
+from .completion import CompletionStats, Walk, expand, initial_proposals
 
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_FRONTIER_CAP = 2**26
-# Levels of at most this many walks are expanded walk by walk, packed;
-# wider ones in vectorized passes, whose fixed cost per level a few walks
-# cannot repay.
+# Levels of at most this many walks go through completion's loop: a wide
+# level's fixed cost (about 25 us) is more than a few walks cost there.
 NARROW_FRONTIER = 64
-# Narrow levels test each child against the solutions that share its
-# incremented coordinate while the search has found at most this many
-# solutions.  Past that the buckets grow long and a wide level's emissions
-# each pay n bucket appends, so the batched bitset test is cheaper.
+# Past this many solutions the buckets grow long, and each emission of a
+# wide level would pay n bucket appends, so every later level is wide.
 BUCKET_SOLUTIONS = 256
 
 
@@ -128,31 +108,22 @@ def render_adjacency(graph: dict[int, list[tuple[int, int]]]) -> str:
     )
 
 
-@dataclass
-class GraphStats:
-    levels: int = 0
-    walks_expanded: int = 0
-    children: int = 0
-    pruned_dominated: int = 0
-    max_frontier: int = 0
-    insert: InsertStats = field(default_factory=InsertStats)
+GraphStats = CompletionStats
 
 
 class _Search:
-    """State shared by the levels of one graph search: the weights, the
-    solutions found so far and their dominance indexes.
+    """The wide levels of one graph search and the solutions found so far.
 
-    A level is expanded by ``narrow_level`` on a list of packed walks, with
-    ``completion_step`` and the bucket test, or by ``wide_level`` on a level
-    state of three arrays, the walks' int32 label counts, their defects and
-    their scan cuts (``scan_cuts``), with the bitset test; both apply the
-    same scan rule.  ``to_rows`` unpacks walks into a level state, computing
-    the cuts once, and ``to_walks`` packs its rows and defects back into
-    walks.  The ndarray side (``weights``, ``label_arrays``, ``scan_table``,
-    ``positive`` and ``index``) is built by ``build_arrays`` on the first
-    wide level.  With ``check`` it is built at the start, since the audits
-    read the bitset, and both paths also raise ``AssertionError`` on a
-    broken invariant (module docstring).
+    ``found`` holds every solution, packed, while the search has found at
+    most ``BUCKET_SOLUTIONS``, and ``completion.expand`` tests narrow levels
+    against it.  ``solutions`` and the index hold every solution, in the
+    order found, but for those of the narrow levels since the last
+    ``sync``.  ``wide_level`` expands a level state of three arrays, the
+    walks' int32 label counts, their defects and their scan cuts
+    (``scan_cuts``), with the bitset test, and ``to_rows`` unpacks walks
+    into one, computing the cuts once.  The ndarray side (``weights``,
+    ``label_arrays``, ``scan_table`` and ``index``) is built by
+    ``build_arrays`` on the first wide level.
     """
 
     def __init__(self, w: WeightVector, stats: GraphStats, check: bool):
@@ -160,18 +131,14 @@ class _Search:
         self.packing = w.packing
         self.stats = stats
         self.check = check
+        self.found = PackedBuckets(w.packing)
         self.solutions: list[Solution] = []
-        # Dropped once the search has found over BUCKET_SOLUTIONS solutions;
-        # every later level is then wide.
-        self.buckets: PackedBuckets | None = PackedBuckets(w.packing)
         self.index: DominanceIndex | None = None
-        if check:
-            self.build_arrays()
+        # How many of found.solutions are in solutions and the index.
+        self.synced = 0
 
     def build_arrays(self) -> None:
-        """Build the ndarray side.  The index takes every solution found so
-        far in one insert, in the order they were found, so each keeps the
-        bit id it would have had in an index built at the start."""
+        """Build the ndarray side, its index empty."""
         import numpy as np
 
         w = self.w
@@ -181,23 +148,27 @@ class _Search:
         self.scan_table = np.zeros((2, max(map(len, w.scan_orders))), dtype=np.intp)
         for side, labels in zip(self.scan_table, self.label_arrays):
             side[: len(labels)] = labels
-        self.positive = self.weights > 0
         # A child's side sums stay within the per-side caps (module
         # docstring), so every coordinate is at most max(max_a, max_b).
         self.index = DominanceIndex(len(w), max(w.max_a, w.max_b) + 1)
-        if self.solutions:
-            self.index.add(np.array(self.solutions, dtype=np.int32))
 
-    def to_walks(self, rows: np.ndarray, defects: np.ndarray) -> list[Walk]:
-        return list(zip(map(self.packing.pack, rows.tolist()), defects.tolist()))
+    def sync(self) -> list[Solution]:
+        """Append the solutions of the narrow levels since the last sync to
+        ``solutions``, and return them."""
+        fresh = list(map(self.packing.unpack, self.found.solutions[self.synced :]))
+        self.synced += len(fresh)
+        self.solutions += fresh
+        return fresh
 
     def to_rows(self, walks: list[Walk]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The walks as a wide level: int32 label counts, defects and scan
-        cuts."""
+        cuts.  The index first takes the solutions ``sync`` adds."""
         import numpy as np
 
         if self.index is None:
             self.build_arrays()
+        if fresh := self.sync():
+            self.index.add(np.array(fresh, dtype=np.int32))
         packed, defects = zip(*walks)
         rows = np.array(list(map(self.packing.unpack, packed)), dtype=np.int32)
         return rows, np.array(defects, dtype=np.int32), self.scan_cuts(rows)
@@ -216,79 +187,6 @@ class _Search:
             cuts[:, side] = used.argmax(axis=1)
         return cuts
 
-    def emit(
-        self,
-        new: list[Solution],
-        rows: np.ndarray | None = None,
-        packed: list[int] | None = None,
-    ) -> None:
-        """Record a level's emissions, given as tuples and, from a wide level,
-        as the same int32 rows or, from a narrow one, packed; index them once
-        the index is built, and file them in the buckets while kept."""
-        if self.index is not None:
-            if rows is None:
-                import numpy as np
-
-                rows = np.array(new, dtype=np.int32)
-            if self.check:
-                self.audit_caps(rows)
-                if len(set(new)) < len(new):
-                    raise AssertionError("duplicate emission; scan rule violated")
-                if self.index.any_dominator(rows).any():
-                    raise AssertionError("emission bounded by an earlier solution")
-            self.index.add(rows)
-        self.stats.insert.inserted += len(new)
-        self.solutions.extend(new)
-        if self.buckets is not None:
-            if len(self.solutions) > BUCKET_SOLUTIONS:
-                self.buckets = None
-            else:
-                for sol in map(self.packing.pack, new) if packed is None else packed:
-                    self.buckets.add(sol)
-
-    def audit_caps(self, rows: np.ndarray) -> None:
-        """Raise if a row's side sum exceeds the opposing side's largest
-        coefficient."""
-        w, positive = self.w, self.positive
-        over = (rows[:, positive].sum(axis=1) > w.max_b) | (
-            rows[:, ~positive].sum(axis=1) > w.max_a
-        )
-        if over.any():
-            raise AssertionError("walk over a side-sum cap")
-
-    def audited_bounds(self, child: int, i: int) -> bool:
-        """The bucket test on the packed ``child``, checked against its
-        guard bits, the side-sum caps and the bitset index."""
-        import numpy as np
-
-        if child & self.packing.guards:
-            raise AssertionError("field overflow")
-        vector = self.packing.unpack(child)
-        row = np.array([vector], dtype=np.int32)
-        self.audit_caps(row)
-        hit = self.buckets.bounds(child, i)
-        if hit != self.index.any_dominator(row)[0]:
-            raise AssertionError(
-                f"bucket test disagrees with the bitset index on {vector}"
-            )
-        return hit
-
-    def narrow_level(self, walks: list[Walk]) -> list[Walk]:
-        """Expand a level walk by walk, testing each child against the
-        buckets as it is made; returns the next level's walks."""
-        bounds = self.audited_bounds if self.check else self.buckets.bounds
-        emitted, proposals, children = completion_step(self.w, walks, bounds)
-        self.stats.children += children
-        self.stats.pruned_dominated += children - len(emitted) - len(proposals)
-        if self.check:
-            if len(set(proposals)) < len(proposals):
-                raise AssertionError("duplicate walk; scan rule violated")
-            if any(sol & self.packing.guards for sol in emitted):
-                raise AssertionError("field overflow")
-        if emitted:
-            self.emit(list(map(self.packing.unpack, emitted)), packed=emitted)
-        return proposals
-
     def wide_level(
         self, rows: np.ndarray, defects: np.ndarray, cuts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -299,11 +197,16 @@ class _Search:
         walks makes every child.  A child made at position j has cut j on
         that side and its parent's cut on the other.  One dominance test
         over all children and one compaction follow, and the emissions are
-        indexed last: none of them can bound a child of their own level
-        (module docstring).
+        indexed last, and filed in ``found`` while the search has found at
+        most ``BUCKET_SOLUTIONS``: none of them can bound a child of their
+        own level (module docstring).
         """
         import numpy as np
 
+        stats = self.stats
+        stats.levels += 1
+        stats.walks_expanded += len(rows)
+        stats.max_frontier = max(stats.max_frontier, len(rows))
         walk = np.arange(len(rows))
         # 0 where a walk grows a positive label (d < 0), 1 a negative one.
         side = (defects > 0).view(np.int8)
@@ -318,25 +221,43 @@ class _Search:
         child_defects = defects[parent] + self.weights[labels]
         child_cuts = cuts[parent]
         child_cuts[child, child_side] = pos
-        if self.check and not np.array_equal(self.scan_cuts(children), child_cuts):
-            raise AssertionError("scan cut differs from the one its row gives")
-
-        self.stats.children += len(children)
+        stats.children += len(children)
         is_solution = child_defects == 0
-        keep = ~(is_solution | self.index.any_dominator(children))
-        solutions = int(is_solution.sum())
-        if solutions:
-            emitted = children[is_solution]
-            self.emit(list(map(tuple, emitted.tolist())), emitted)
+        bounded = self.index.any_dominator(children)
         if self.check:
-            self.audit_caps(children[~is_solution])
-        live = np.flatnonzero(keep)
+            self.audit(children, child_cuts, is_solution & bounded)
+        solutions = children[is_solution]
+        if len(solutions):
+            self.index.add(solutions)
+            stats.insert.inserted += len(solutions)
+            new = list(map(tuple, solutions.tolist()))
+            self.solutions += new
+            if len(self.solutions) <= BUCKET_SOLUTIONS:
+                for sol in map(self.packing.pack, new):
+                    self.found.add(sol)
+                self.synced = len(self.found.solutions)
+        live = np.flatnonzero(~(is_solution | bounded))
         rows, defects = children.take(live, axis=0), child_defects.take(live)
-        cuts = child_cuts.take(live, axis=0)
-        self.stats.pruned_dominated += len(children) - solutions - len(rows)
-        if self.check and len(np.unique(rows, axis=0)) < len(rows):
+        stats.pruned_dominated += len(children) - len(solutions) - len(rows)
+        return rows, defects, child_cuts.take(live, axis=0)
+
+    def audit(self, children: np.ndarray, cuts: np.ndarray, bad: np.ndarray) -> None:
+        """Raise on a wide level's carried scan cut that differs from its
+        row's, duplicate child, child over a side-sum cap or bounded
+        emission (``bad``)."""
+        import numpy as np
+
+        w, positive = self.w, self.weights > 0
+        if not np.array_equal(self.scan_cuts(children), cuts):
+            raise AssertionError("scan cut differs from the one its row gives")
+        if len(np.unique(children, axis=0)) < len(children):
             raise AssertionError("duplicate walk; scan rule violated")
-        return rows, defects, cuts
+        if (children[:, positive].sum(axis=1) > w.max_b).any() or (
+            children[:, ~positive].sum(axis=1) > w.max_a
+        ).any():
+            raise AssertionError("walk over a side-sum cap")
+        if bad.any():
+            raise AssertionError("emission bounded by an earlier solution")
 
 
 def graph_solve(
@@ -350,13 +271,10 @@ def graph_solve(
     """Basis of an equation or a signed weight sequence by the graph
     algorithm (normalized by ``core.solve_normalized``).
 
-    With ``check_invariants`` the search runs the same prunes and raises
-    ``AssertionError`` on a duplicate walk or emission, an emission bounded
-    by an earlier solution, a child over a side-sum cap, a narrow child with
-    a guard bit set, a carried scan cut that differs from its row's, or a
-    bucket verdict that the bitset index contradicts; the scan rule, the
-    equal-sum argument, the revisit argument and the bucket argument prove
-    none of that can fire, so by default the search does not pay for it.
+    With ``check_invariants`` the search runs the same prunes and the audits
+    of the module docstring; the scan rule, the equal-sum argument, the
+    revisit argument and the bucket argument prove none of them can fire,
+    so by default the search does not pay for them.
     """
     return solve_normalized(
         problem,
@@ -376,29 +294,25 @@ def _solve(
     check_invariants: bool,
 ) -> BasisList:
     search = _Search(w, stats, check_invariants)
-
+    narrow = min(NARROW_FRONTIER, frontier_cap)
     # One-sided seeding, as in the completion procedure.
     walks = initial_proposals(w)
-    # (rows, defects, cuts) while the frontier is wide; walks is then stale.
-    wide = None
-    while True:
-        width = len(walks) if wide is None else len(wide[0])
-        if not width:
-            break
-        deadline.check()
-        stats.levels += 1
-        stats.max_frontier = max(stats.max_frontier, width)
-        if width > frontier_cap:
-            raise ResourceLimitError(
-                f"graph frontier holds {width} walks, over the cap of {frontier_cap}"
-            )
-        stats.walks_expanded += width
-        if width <= NARROW_FRONTIER and search.buckets is not None:
-            if wide is not None:
-                walks, wide = search.to_walks(*wide[:2]), None
-            walks = search.narrow_level(walks)
-        else:
-            if wide is None:
-                wide = search.to_rows(walks)
-            wide = search.wide_level(*wide)
+    while walks := expand(
+        w, walks, search.found, stats, deadline, check_invariants, narrow,
+        BUCKET_SOLUTIONS,
+    ):
+        level = search.to_rows(walks)
+        # Wide while the level is, and for good once the buckets are past
+        # their cap.
+        while (width := len(level[0])) and (
+            width > narrow or len(search.solutions) > BUCKET_SOLUTIONS
+        ):
+            deadline.check()
+            if width > frontier_cap:
+                raise ResourceLimitError(
+                    f"graph frontier holds {width} walks, over the cap of {frontier_cap}"
+                )
+            level = search.wide_level(*level)
+        walks = list(zip(map(w.packing.pack, level[0].tolist()), level[1].tolist()))
+    search.sync()
     return sorted(search.solutions)

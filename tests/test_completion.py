@@ -1,5 +1,6 @@
 """Completion procedure: step semantics, uniqueness, level invariants."""
 
+import math
 import random
 
 import pytest
@@ -11,9 +12,11 @@ from diobasis.completion import (
     CompletionStats,
     completion_solve,
     completion_step,
+    expand,
     initial_proposals,
 )
 from diobasis.core import (
+    Deadline,
     Equation,
     PackedBuckets,
     TimeLimitError,
@@ -183,6 +186,39 @@ class TestCompletionDeadline:
         with pytest.raises(TimeLimitError):
             completion_step(w, walks, found.bounds, deadline)
         assert deadline.checks == 2 and 256 < len(walks)
+
+
+class TestLoopDeadline:
+    """``expand`` checks the deadline once per level and hands it to
+    ``completion_step`` only on levels of more than 256 walks."""
+
+    def test_one_check_per_narrow_level(self):
+        w = build_weights(parse_equation("335 = 473 1021"))
+        stats, deadline = CompletionStats(), CountingDeadline()
+        expand(w, initial_proposals(w), PackedBuckets(w.packing), stats, deadline)
+        assert (stats.levels, stats.max_frontier) == (1355, 31)
+        assert deadline.checks == stats.levels
+
+    def test_a_wide_level_is_also_checked_every_256_walks(self):
+        w = build_weights(parse_equation("53 36 29 21 = 11 38 82 107"))
+        walks, found = initial_proposals(w), PackedBuckets(w.packing)
+        # A call stops at the first level wider than its first: here the
+        # first level of at least 2,000 walks, as in TestCompletionDeadline.
+        while len(walks) < 2000:
+            walks = expand(
+                w, walks, found, CompletionStats(), Deadline(None), width=len(walks)
+            )
+        stats, deadline = CompletionStats(), CountingDeadline()
+        expand(w, walks, found, stats, deadline, width=len(walks))
+        assert stats.levels == 1
+        assert deadline.checks == 1 + math.ceil(len(walks) / 256) == 10
+
+    def test_an_expiry_mid_run_raises(self):
+        w = build_weights(parse_equation("335 = 473 1021"))
+        stats, deadline = CompletionStats(), CountingDeadline(expire_at=100)
+        with pytest.raises(TimeLimitError):
+            expand(w, initial_proposals(w), PackedBuckets(w.packing), stats, deadline)
+        assert stats.levels == 99
 
 
 class TestCompletionInvariants:

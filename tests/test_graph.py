@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from diobasis import core, graph
 from diobasis.bench import SOLVERS
-from diobasis.completion import completion_solve
+from diobasis.completion import CompletionStats, completion_solve
 from diobasis.core import (
     Equation,
     ResourceLimitError,
@@ -157,8 +157,8 @@ class TestGraphSolve:
     def test_search_is_clean(self, monkeypatch):
         # No duplicate walks, no duplicate or dominated emissions, no child
         # over a side-sum cap although the search never tests for one, and
-        # no narrow child on which the buckets and the bitset disagree: the
-        # audits raise on any of them.
+        # no narrow child on which the buckets and is_dominated disagree:
+        # the audits raise on any of them.
         for _ in level_paths(monkeypatch):
             rng = random.Random(33)
             for _ in range(40):
@@ -217,6 +217,16 @@ class TestGraphSolve:
         with pytest.raises(AssertionError, match="field overflow"):
             solve(eq, check_invariants=True)
 
+    @pytest.mark.parametrize("solve", [graph_solve, completion_solve])
+    def test_check_invariants_raises_on_a_wrong_bucket_verdict(
+        self, monkeypatch, solve
+    ):
+        # A bucket test that bounds nothing keeps the first child that a
+        # found solution bounds; the search of "335 = 473 1021" stays narrow.
+        monkeypatch.setattr(core.PackedBuckets, "bounds", lambda self, child, i: False)
+        with pytest.raises(AssertionError, match="disagrees"):
+            solve(parse_equation("335 = 473 1021"), check_invariants=True)
+
     def test_frontier_cap(self):
         with pytest.raises(ResourceLimitError):
             graph_solve(Equation((104, 167), (165, 154, 148)), frontier_cap=4)
@@ -261,6 +271,13 @@ class TestSearchCounters:
             assert pinned_fields(stats) == expected, path
             assert len(basis) == stats.insert.inserted
 
+    @pytest.mark.parametrize("text, expected", PINNED_COUNTERS)
+    def test_completion_counts_the_same_search(self, text, expected):
+        assert GraphStats is CompletionStats
+        stats = CompletionStats()
+        completion_solve(parse_equation(text), stats=stats)
+        assert pinned_fields(stats) == expected
+
     def test_deep_search_is_pinned(self):
         # 131,070 levels of one to three walks, all tested by buckets.  The
         # time limit only keeps a regression from stalling the suite.
@@ -280,31 +297,33 @@ def events(monkeypatch):
     order: "build" per call of ``graph._Search.build_arrays`` and "narrow"
     or "wide" per level."""
     log = []
-    build = graph._Search.build_arrays
-    narrow, wide = graph._Search.narrow_level, graph._Search.wide_level
+    build, wide = graph._Search.build_arrays, graph._Search.wide_level
+    expand = graph.expand
 
     def counted_build(self):
         log.append("build")
         return build(self)
 
-    def counted_narrow(self, walks):
-        log.append("narrow")
-        return narrow(self, walks)
+    def counted_expand(w, walks, found, stats, *args):
+        levels = stats.levels
+        walks = expand(w, walks, found, stats, *args)
+        log.extend(["narrow"] * (stats.levels - levels))
+        return walks
 
     def counted_wide(self, *level):
         log.append("wide")
         return wide(self, *level)
 
     monkeypatch.setattr(graph._Search, "build_arrays", counted_build)
-    monkeypatch.setattr(graph._Search, "narrow_level", counted_narrow)
+    monkeypatch.setattr(graph, "expand", counted_expand)
     monkeypatch.setattr(graph._Search, "wide_level", counted_wide)
     return log
 
 
 class TestArraySide:
     """The label arrays and the bitset index are built on the first wide
-    level, or at the start under ``check_invariants``, and the search never
-    builds the defect digraph."""
+    level, under ``check_invariants`` too, and the search never builds the
+    defect digraph."""
 
     def test_narrow_search_builds_nothing(self, events):
         stats = GraphStats()
@@ -344,10 +363,10 @@ class TestArraySide:
                 basis = graph_solve(eq, check_invariants=check)
                 assert basis == oracle_basis(eq), (path, check)
 
-    def test_check_invariants_builds_at_the_start(self, events):
+    def test_check_mode_builds_nothing_on_a_narrow_search(self, events):
+        # The narrow audit is completion's, on tuples: it reads no bitset.
         graph_solve(parse_equation("335 = 473 1021"), check_invariants=True)
-        assert events[0] == "build"
-        assert set(events[1:]) == {"narrow"}
+        assert set(events) == {"narrow"}
 
 
 sides = st.lists(st.integers(1, 12), min_size=1, max_size=3)
