@@ -2,11 +2,14 @@
 
 A walk is a candidate vector with its defect, which stays within
 [-max_b, max_a].  Each completion step extends every live walk by +1 at
-positions whose weight sign opposes the walk's defect sign, scanning
-positions from the top down and stopping after the first increment at an
-already-positive position.  That scan rule forces each side of a vector to
-be filled bottom-up, and the defect sign dictates which side every step
-extends, so each solution is constructed along exactly one path.
+positions whose weight sign opposes the walk's defect sign, scanning that
+side's positions by increasing coefficient size (``WeightVector.scan_orders``)
+and stopping after the first increment at an already-positive position.
+That scan rule forces each side of a vector to be filled largest
+coefficient first, and the defect sign dictates which side every step
+extends, so each solution is constructed along exactly one path.  Any fixed
+order per side would do; by size, the search does not depend on the order
+the input lists a side in.
 
 For the path to be unique the seed set must live on one side only: seeding
 both sides would build every solution once from each end.  We seed the

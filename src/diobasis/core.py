@@ -138,12 +138,12 @@ class WeightVector:
     ``max_a`` is the largest positive weight and ``max_b`` the largest
     magnitude among negative weights, 0 when a side is empty.
     ``positive_positions`` and ``negative_positions`` list each side's
-    positions, and ``scan_orders`` lists them from the top down, the order
-    in which a unit-step search scans them.  ``packing`` packs vectors whose
-    coordinates are at most max(max_a, max_b), which every child of the
-    pruned unit-step search is (``graph`` module docstring).  All of them
-    are computed once here: a solve reads several, and a cached property
-    takes a lock on its first access.
+    positions, and ``scan_orders`` lists them by increasing |w|, ties in
+    decreasing position: a unit-step search scans them in that order.
+    ``packing`` packs vectors with coordinates of at most max(max_a, max_b),
+    which every child of the pruned unit-step search has (``graph`` module
+    docstring).  All of them are computed once here: a solve reads several,
+    and a cached property takes a lock on its first access.
     """
 
     w: tuple[int, ...]
@@ -163,7 +163,10 @@ class WeightVector:
             max_b=max_b,
             positive_positions=pos,
             negative_positions=neg,
-            scan_orders=(pos[::-1], neg[::-1]),
+            scan_orders=(
+                tuple(sorted(pos[::-1], key=w.__getitem__)),
+                tuple(sorted(neg[::-1], key=w.__getitem__, reverse=True)),
+            ),
             packing=packing(len(w), max(max_a, max_b)),
         )
 

@@ -5,19 +5,20 @@ maps d to d + w_i when the target stays in range.  A walk records how often
 each edge label was used; a walk from node zero back to node zero is a
 solution.  The search expands walks breadth-first by length (= coordinate
 sum), follows positive labels from negative nodes and negative labels from
-positive nodes, applies the same top-down scan rule as the completion
-procedure, and prunes a walk once an already-found solution is bounded by
-it, which is the shorter-bounded-walk minimality test; the canonical path
-to a minimal solution never trips it.  This one prune also keeps each side
-sum within the opposing side's largest coefficient.  A walk that visits a
-node twice closes a nonzero solution of smaller coordinate sum between the
-visits; an earlier level has indexed a minimal solution below it, so the
-walk is pruned.  Every node lies in [1 - max_b, max_a], so the positive
-steps of a surviving walk start from distinct nodes among the max_b nodes
-{0, -1, ..., 1 - max_b} and its negative steps from distinct nodes among
-the max_a nodes {1, ..., max_a}.  Every edge the search follows therefore
-stays in range, and the search follows it by adding its weight: a walk is
-carried with its defect, never with a node index or an adjacency table.
+positive nodes, applies the same scan rule as the completion procedure,
+each side by increasing coefficient size, and prunes a walk once an
+already-found solution is bounded by it, which is the shorter-bounded-walk
+minimality test; the canonical path to a minimal solution never trips it.
+This one prune also keeps each side sum within the opposing side's largest
+coefficient.  A walk that visits a node twice closes a nonzero solution of
+smaller coordinate sum between the visits; an earlier level has indexed a
+minimal solution below it, so the walk is pruned.  Every node lies in
+[1 - max_b, max_a], so the positive steps of a surviving walk start from
+distinct nodes among the max_b nodes {0, -1, ..., 1 - max_b} and its
+negative steps from distinct nodes among the max_a nodes {1, ..., max_a}.
+Every edge the search follows therefore stays in range, and the search
+follows it by adding its weight: a walk is carried with its defect, never
+with a node index or an adjacency table.
 The same bound holds for every child the search makes, pruned ones
 included: a child's new step starts at its parent's end node, from which no
 step of the surviving parent started, since the parent visits no node

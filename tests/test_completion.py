@@ -163,9 +163,11 @@ class CountingDeadline:
 class TestCompletionDeadline:
     @pytest.fixture(scope="class")
     def wide_level(self):
-        w = build_weights(parse_equation("53 36 29 21 = 11 38 82 107"))
+        # The showcase: its level 11 is the first of 2,000 walks or more.
+        w = build_weights(parse_equation("104 167 = 165 154 148 159 174 150"))
         walks, found = initial_proposals(w), PackedBuckets(w.packing)
         while len(walks) < 2000:
+            assert walks, "the search ended below 2,000 walks"
             emissions, walks, _ = completion_step(w, walks, found.bounds)
             for sol in emissions:
                 found.add(sol)
@@ -196,15 +198,16 @@ class TestLoopDeadline:
         w = build_weights(parse_equation("335 = 473 1021"))
         stats, deadline = CompletionStats(), CountingDeadline()
         expand(w, initial_proposals(w), PackedBuckets(w.packing), stats, deadline)
-        assert (stats.levels, stats.max_frontier) == (1355, 31)
+        assert (stats.levels, stats.max_frontier) == (1355, 19)
         assert deadline.checks == stats.levels
 
     def test_a_wide_level_is_also_checked_every_256_walks(self):
-        w = build_weights(parse_equation("53 36 29 21 = 11 38 82 107"))
+        w = build_weights(parse_equation("104 167 = 165 154 148 159 174 150"))
         walks, found = initial_proposals(w), PackedBuckets(w.packing)
         # A call stops at the first level wider than its first: here the
         # first level of at least 2,000 walks, as in TestCompletionDeadline.
         while len(walks) < 2000:
+            assert walks, "the search ended below 2,000 walks"
             walks = expand(
                 w, walks, found, CompletionStats(), Deadline(None), width=len(walks)
             )
