@@ -35,12 +35,13 @@ nonzero solution below x, and a basis element below it, of coordinate sum
 below x's, would have pruned x.  Levels go by ascending coordinate sum, so
 the search meets ``insert_minimal``'s precondition too.
 
-``completion_step`` is the package's one unit-step expansion and
-``expand`` its one level loop, with its one audit and one stats record:
-``completion_solve`` runs the loop to the end, and the graph search runs
-each stretch of narrow levels through it (``graph.py``).  Each walk costs
-a few integer operations, and a level a few attribute updates, so a deep
-search of thin levels costs per walk, not per level.
+``expand`` is the package's one unit-step level loop, with its one audit
+and one stats record: ``completion_solve`` runs it to the end, and the
+graph search runs each stretch of narrow levels through it (``graph.py``).
+It runs the step inline and probes a child's bucket key before any scan,
+so a deep search of thin levels costs a few integer operations and dict
+lookups per walk, not calls per level.  ``completion_step`` is the step
+written plainly, the reference the audit replays each level through.
 """
 
 from __future__ import annotations
@@ -89,9 +90,10 @@ def completion_step(
     w: WeightVector,
     walks: list[Walk],
     bounds: Callable[[int, int], bool],
-    deadline: Deadline | None = None,
 ) -> tuple[list[int], list[Walk], int]:
-    """One completion round: extend every walk, split off solutions.
+    """One completion round, written plainly as the reference that
+    ``expand``'s audit replays each level through: extend every walk, split
+    off solutions.
 
     Returns the children of defect zero, the other children that survive,
     and the number of children made; the rest were pruned.  Vectors are
@@ -103,21 +105,8 @@ def completion_step(
     ``PackedBuckets.bounds`` that holds every solution of coordinate sum
     below the walks', a wrapper of one, or a test that never bounds, to
     keep every child.  The scan rule makes duplicate children impossible,
-    so the step does not look for them.  ``deadline`` is checked before the
-    first walk and then every 256 walks.
+    so the step does not look for them.
     """
-    if deadline is not None:
-        # One check per 256 walks: expand the level in slices of that many.
-        emitted, kept, children = [], [], 0
-        for k in range(0, len(walks), 256):
-            deadline.check()
-            part_emitted, part_kept, part_children = completion_step(
-                w, walks[k : k + 256], bounds
-            )
-            emitted += part_emitted
-            kept += part_kept
-            children += part_children
-        return emitted, kept, children
     weights = w.w
     units, fields = w.packing.units, w.packing.fields
     pos_desc, neg_desc = w.scan_orders
@@ -148,49 +137,83 @@ def expand(
     width: float = math.inf,
     cap: float = math.inf,
 ) -> list[Walk]:
-    """Expand levels by ``completion_step`` until no walk is left, a level
-    holds more than ``width`` walks or ``found`` holds more than ``cap``
-    solutions, and return that level's walks.
+    """Expand levels until no walk is left, a level holds more than
+    ``width`` walks or ``found`` holds more than ``cap`` solutions, and
+    return that level's walks.
 
     ``found`` must hold every solution of coordinate sum below the walks';
     each level's children are tested against it and its emissions added.
-    ``deadline`` is checked once per level, and on a level of more than 256
-    walks ``completion_step`` checks it every 256 walks as well: slicing
-    every level cost a deep search of thin levels 5-8%.  With ``check`` the
-    loop also keeps a reference basis of every solution in ``found``,
-    unpacked, by ``insert_minimal``, checks each bucket verdict against
-    ``is_dominated`` on it, and raises ``AssertionError`` on a child or
-    emission with a guard bit set or over a side-sum cap, a duplicate
-    emission or walk and a dominated emission.
+    The step is ``completion_step``'s, inline over per-side (unit, weight,
+    field) tuples, and a child of nonzero defect gets the guard scan of
+    ``PackedBuckets.bounds`` only if its key ``child & field`` has a bucket.
+    ``deadline`` is checked before each slice of 256 walks.  The counters
+    are kept in locals and written to ``stats`` as the loop ends, by a
+    raise too, for the levels finished.  With ``check`` each level is
+    replayed through ``completion_step`` on a reference basis (``_audit``),
+    and ``AssertionError`` is raised unless both give the same emissions,
+    walks and child count, and on a child or emission with a guard bit set
+    or over a side-sum cap, a duplicate emission or walk and a dominated
+    emission.
     """
-    bounds, solutions = found.bounds, found.solutions
-    if check:
-        bounds, audit = _audit(w, found)
-    while walks:
-        n = len(walks)
-        if n > width or len(solutions) > cap:
-            break
-        deadline.check()
-        stats.levels += 1
-        stats.walks_expanded += n
-        if n > stats.max_frontier:
-            stats.max_frontier = n
-        emitted, walks, children = completion_step(
-            w, walks, bounds, deadline if n > 256 else None
-        )
+    units, fields = w.packing.units, w.packing.fields
+    pos, neg = ([(units[i], w.w[i], fields[i]) for i in side] for side in w.scan_orders)
+    probe, guards, solutions = found.buckets.get, found.guards, found.solutions
+    audit = _audit(w, found) if check else None
+    levels = expanded = children = pruned = inserted = 0
+    widest = stats.max_frontier
+    try:
+        while walks:
+            n = len(walks)
+            if n > width or len(solutions) > cap:
+                break
+            emitted, kept, bounded = [], [], 0
+            for start in range(0, n, 256):
+                deadline.check()
+                for x, d in walks[start : start + 256]:
+                    for unit, wi, field in pos if d < 0 else neg:
+                        child = x + unit
+                        dc = d + wi
+                        if not dc:
+                            emitted.append(child)
+                        elif (bucket := probe(child & field)) is None:
+                            kept.append((child, dc))
+                        else:
+                            lifted = child | guards
+                            for s in bucket:
+                                if (lifted - s) & guards == guards:
+                                    bounded += 1
+                                    break
+                            else:
+                                kept.append((child, dc))
+                        if x & field:
+                            break
+            made = len(emitted) + len(kept) + bounded
+            if audit:
+                audit(walks, (emitted, kept, made))
+            levels += 1
+            expanded += n
+            if n > widest:
+                widest = n
+            children += made
+            pruned += bounded
+            inserted += len(emitted)
+            walks = kept
+            for sol in emitted:
+                found.add(sol)
+    finally:
+        stats.levels += levels
+        stats.walks_expanded += expanded
+        stats.max_frontier = widest
         stats.children += children
-        stats.pruned_dominated += children - len(emitted) - len(walks)
-        stats.insert.inserted += len(emitted)
-        if check:
-            audit(emitted, walks)
-        for sol in emitted:
-            found.add(sol)
+        stats.pruned_dominated += pruned
+        stats.insert.inserted += inserted
     return walks
 
 
 def _audit(w: WeightVector, found: PackedBuckets):
-    """``expand``'s checks: the bucket test of ``found`` checked against a
-    reference basis, and a level audit that grows that basis."""
+    """``expand``'s check of one level: its walks replayed through
+    ``completion_step`` against a reference basis of the solutions in
+    ``found``, which the level's emissions then grow."""
     unpack, guards = w.packing.unpack, w.packing.guards
     reference: BasisList = []
 
@@ -203,15 +226,12 @@ def _audit(w: WeightVector, found: PackedBuckets):
             raise AssertionError("walk over a side-sum cap")
         return v
 
-    def bounds(child: int, i: int) -> bool:
-        v = vector(child)
-        hit = found.bounds(child, i)
-        if hit != is_dominated(reference, v):
-            raise AssertionError(f"bucket test disagrees with is_dominated on {v}")
-        return hit
-
-    def audit(emitted: list[int], walks: list[Walk]) -> None:
-        for items, what in ((emitted, "emission"), (walks, "walk")):
+    def audit(walks: list[Walk], level: tuple[list[int], list[Walk], int]) -> None:
+        replay = completion_step(w, walks, lambda c, i: is_dominated(reference, vector(c)))
+        if replay != level:
+            raise AssertionError("level disagrees with completion_step's replay")
+        emitted, kept, _ = level
+        for items, what in ((emitted, "emission"), (kept, "walk")):
             if len(set(items)) < len(items):
                 raise AssertionError(f"duplicate {what}; scan rule violated")
         for sol in emitted:
@@ -220,7 +240,7 @@ def _audit(w: WeightVector, found: PackedBuckets):
 
     for sol in found.solutions:
         insert_minimal(reference, unpack(sol))
-    return bounds, audit
+    return audit
 
 
 def completion_solve(

@@ -532,10 +532,11 @@ class PackedBuckets:
 
     Completion and the graph search expand level by level in coordinate
     sum and add each level's solutions before testing the next level's
-    children, which is the condition above.  ``lex.prefix_walk`` meets a
-    precondition of its own, under which every added s <= prefix has
-    s_i = prefix_i (that function's docstring), and probes a value's key in
-    ``buckets`` before it calls ``bounds``.
+    children, which is the condition above; ``completion.expand`` runs the
+    test inline.  ``lex.prefix_walk`` meets a precondition of its own,
+    under which every added s <= prefix has s_i = prefix_i (that
+    function's docstring), and probes a value's key in ``buckets`` before
+    it calls ``bounds``.
     """
 
     def __init__(self, packing: Packing):

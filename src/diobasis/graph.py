@@ -30,10 +30,10 @@ edges, for ``solve --emit-graph`` to dump.
 
 A level is expanded one of two ways, and each way has one prune.  While
 levels hold at most ``NARROW_FRONTIER`` walks and the search has found at
-most ``BUCKET_SOLUTIONS`` solutions, the search runs completion's own level
-loop, ``completion.expand``, with its bucket test, its audit and its stats
-record (``GraphStats`` is ``completion.CompletionStats``); the loop returns
-the first level past either bound.  Every other level is expanded in
+most ``BUCKET_SOLUTIONS`` solutions, the search runs completion's unit-step
+loop, ``completion.expand``, which tests each child inline by its bucket
+key, with its audit and stats record (``GraphStats`` is ``CompletionStats``);
+it returns the first level past either bound.  Every other level is expanded in
 vectorized passes over an int32 array of walks, an array of their defects
 and, per walk and side, its scan cut: the scan position of the walk's first
 used label on that side, up to which the scan rule expands it.  A child's
@@ -82,7 +82,7 @@ if TYPE_CHECKING:
 
 DEFAULT_FRONTIER_CAP = 2**26
 # Levels of at most this many walks go through completion's loop: a wide
-# level's fixed cost (about 25 us) is more than a few walks cost there.
+# level's fixed cost (about 40 us) is what some 80 walks cost there.
 NARROW_FRONTIER = 64
 # Past this many solutions the buckets grow long, and each emission of a
 # wide level would pay n bucket appends, so every later level is wide.

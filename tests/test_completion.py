@@ -160,7 +160,18 @@ class CountingDeadline:
             raise TimeLimitError("expired")
 
 
+def filed(w, solutions):
+    """A fresh bucket table holding ``solutions``."""
+    found = PackedBuckets(w.packing)
+    for sol in solutions:
+        found.add(sol)
+    return found
+
+
 class TestCompletionDeadline:
+    """``expand`` checks the deadline before each slice of 256 walks of a
+    level, its first slice included."""
+
     @pytest.fixture(scope="class")
     def wide_level(self):
         # The showcase: its level 11 is the first of 2,000 walks or more.
@@ -171,28 +182,34 @@ class TestCompletionDeadline:
             emissions, walks, _ = completion_step(w, walks, found.bounds)
             for sol in emissions:
                 found.add(sol)
-        return w, walks, found
+        return w, walks, found.solutions
 
     @pytest.mark.parametrize(
         "width, checks", [(1, 1), (256, 1), (257, 2), (512, 2), (513, 3)]
     )
     def test_deadline_is_checked_every_256_walks(self, wide_level, width, checks):
-        w, walks, found = wide_level
-        deadline = CountingDeadline()
-        completion_step(w, walks[:width], found.bounds, deadline)
+        # The level's last walks branch more than its first: each slice of
+        # them has more than ``width`` children alive, so the call stops
+        # after one level.
+        w, walks, solutions = wide_level
+        stats, deadline = CompletionStats(), CountingDeadline()
+        expand(w, walks[-width:], filed(w, solutions), stats, deadline, width=width)
+        assert stats.levels == 1
         assert deadline.checks == checks
 
     def test_deadline_is_checked_inside_a_level(self, wide_level):
-        w, walks, found = wide_level
-        deadline = CountingDeadline(expire_at=2)
+        w, walks, solutions = wide_level
+        stats, deadline = CompletionStats(), CountingDeadline(expire_at=2)
         with pytest.raises(TimeLimitError):
-            completion_step(w, walks, found.bounds, deadline)
+            expand(w, walks, filed(w, solutions), stats, deadline, width=len(walks))
         assert deadline.checks == 2 and 256 < len(walks)
+        # Only finished levels are counted.
+        assert (stats.levels, stats.walks_expanded, stats.children) == (0, 0, 0)
 
 
 class TestLoopDeadline:
-    """``expand`` checks the deadline once per level and hands it to
-    ``completion_step`` only on levels of more than 256 walks."""
+    """``expand`` checks the deadline once per level, and again before
+    every further slice of 256 walks."""
 
     def test_one_check_per_narrow_level(self):
         w = build_weights(parse_equation("335 = 473 1021"))
@@ -214,7 +231,7 @@ class TestLoopDeadline:
         stats, deadline = CompletionStats(), CountingDeadline()
         expand(w, walks, found, stats, deadline, width=len(walks))
         assert stats.levels == 1
-        assert deadline.checks == 1 + math.ceil(len(walks) / 256) == 10
+        assert deadline.checks == math.ceil(len(walks) / 256) == 9
 
     def test_an_expiry_mid_run_raises(self):
         w = build_weights(parse_equation("335 = 473 1021"))
@@ -237,23 +254,14 @@ class TestCompletionInvariants:
             assert basis == oracle_basis(eq)
             assert stats.insert.inserted == len(basis)
 
-    def test_dominated_emission_raises(self, monkeypatch):
-        # A level after the first solution s also emits 2s, which s bounds.
-        seen = []
-
-        def step(w, walks, bounds, deadline=None):
-            emitted, kept, children = completion_step(w, walks, bounds, deadline)
-            pack, unpack = w.packing.pack, w.packing.unpack
-            extra = [pack(tuple(2 * v for v in unpack(seen[0])))] if seen else []
-            seen.extend(emitted)
-            return emitted + extra, kept, children
-
-        monkeypatch.setattr(completion, "completion_step", step)
-        eq = parse_equation("7 3 = 5 4 2")
-        assert completion_solve(eq) != oracle_basis(eq)
-        seen.clear()
-        with pytest.raises(AssertionError, match="dominated emission"):
-            completion_solve(eq, check_invariants=True)
+    def test_dominated_emission_raises(self):
+        # s = (1, 1) is filed, and the walk (2, 1) emits its child 2s, which
+        # s bounds; the walk's defect is 2 and no coordinate leaves its field.
+        w = WeightVector((2, -2))
+        found = filed(w, [w.packing.pack((1, 1))])
+        walks = packed(w, [((2, 1), 2)])
+        with pytest.raises(AssertionError, match=r"dominated emission \(2, 2\)"):
+            expand(w, walks, found, CompletionStats(), Deadline(None), check=True)
 
     def test_level_sum_invariant(self):
         w = WeightVector((5, 3, -3, -2))

@@ -221,11 +221,58 @@ class TestGraphSolve:
     def test_check_invariants_raises_on_a_wrong_bucket_verdict(
         self, monkeypatch, solve
     ):
-        # A bucket test that bounds nothing keeps the first child that a
+        # A bucket table that files no bucket keeps the first child that a
         # found solution bounds; the search of "335 = 473 1021" stays narrow.
-        monkeypatch.setattr(core.PackedBuckets, "bounds", lambda self, child, i: False)
+        def file_no_bucket(self, sol):
+            self.solutions.append(sol)
+
+        monkeypatch.setattr(core.PackedBuckets, "add", file_no_bucket)
         with pytest.raises(AssertionError, match="disagrees"):
             solve(parse_equation("335 = 473 1021"), check_invariants=True)
+
+    @pytest.mark.parametrize("fault", ["over-prunes", "under-prunes"])
+    @pytest.mark.parametrize("solve", [graph_solve, completion_solve])
+    def test_check_invariants_catches_a_seeded_bucket_table(
+        self, monkeypatch, solve, fault
+    ):
+        # The audit replays each level through completion_step on its own
+        # reference basis, so a fault of the bucket table, which the loop
+        # probes inline, is not shared by the reference.  Either fault
+        # changes the search's pinned counters when unchecked.
+        text, counters = PINNED_COUNTERS[0]
+        assert text == "335 = 473 1021"
+        init, add = core.PackedBuckets.__init__, core.PackedBuckets.add
+
+        def extra_vector(self, packing):
+            # (0, 1, 0), no solution, filed below the live child (1, 1, 0).
+            init(self, packing)
+            self.buckets[packing.units[1]] = [packing.units[1]]
+
+        def buckets_of_473_missing(self, sol):
+            add(self, sol)
+            self.buckets.pop(sol & self.fields[1], None)
+
+        if fault == "over-prunes":
+            monkeypatch.setattr(core.PackedBuckets, "__init__", extra_vector)
+        else:
+            monkeypatch.setattr(core.PackedBuckets, "add", buckets_of_473_missing)
+        stats = GraphStats()
+        solve(parse_equation(text), stats=stats)
+        assert pinned_fields(stats) != counters
+        with pytest.raises(AssertionError, match="disagrees"):
+            solve(parse_equation(text), check_invariants=True)
+
+    @pytest.mark.parametrize("solve", [graph_solve, completion_solve])
+    def test_a_solve_never_calls_the_bucket_method(self, monkeypatch, solve):
+        # The unit-step loop probes the bucket key and scans inline; only
+        # lex calls PackedBuckets.bounds.
+        def refuse(self, child, i):
+            raise AssertionError("PackedBuckets.bounds called")
+
+        monkeypatch.setattr(core.PackedBuckets, "bounds", refuse)
+        for text, _ in PINNED_COUNTERS:
+            eq = parse_equation(text)
+            assert solve(eq) == graph_solve(eq, check_invariants=True)
 
     def test_frontier_cap(self):
         with pytest.raises(ResourceLimitError):
