@@ -59,7 +59,7 @@ class OracleBoxError(DiobasisError):
 
 
 class ResourceLimitError(DiobasisError):
-    """A solver exceeded a configured resource guard (e.g. frontier size)."""
+    """A solver exceeded a fixed resource guard (graph's ``FRONTIER_CAP``)."""
 
 
 class TimeLimitError(DiobasisError):

@@ -42,13 +42,13 @@ parent's but on the side it grew, where its label is now the first used
 one, so a wide level never rescans its rows.  It tests its children with
 one batched call to the ``DominanceIndex``, built with the label arrays on
 the first wide level, so a search of narrow levels alone runs without
-numpy.  Each stretch of wide levels first indexes the solutions found since
-the index last read them, in the order they were found.  A wide level
-tests all its children, solutions included, before it indexes its
-emissions as the int32 rows they are, so one mask drops both the solutions
-and the bounded children: an emission bounding a child of its own level
-would share its coordinate sum and so equal it, which a child of nonzero
-defect cannot.
+numpy.  Each stretch of wide levels first indexes the solutions that the
+narrow levels since the last wide one found, in the order they were found.
+A wide level tests all its children, solutions included, before it
+indexes its emissions as the int32 rows they are, so one mask drops both
+the solutions and the bounded children: an emission bounding a child of
+its own level would share its coordinate sum and so equal it, which a
+child of nonzero defect cannot.
 
 The scan rule makes duplicate walks impossible, and emissions within a
 level share a coordinate sum, so they never dominate each other or an
@@ -80,7 +80,8 @@ from .completion import CompletionStats, Walk, expand, initial_proposals
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_FRONTIER_CAP = 2**26
+# A wide level of more walks raises ResourceLimitError.
+FRONTIER_CAP = 2**26
 # Levels of at most this many walks go through completion's loop: a wide
 # level's fixed cost (about 40 us) is what some 80 walks cost there.
 NARROW_FRONTIER = 64
@@ -115,12 +116,14 @@ GraphStats = CompletionStats
 class _Search:
     """The wide levels of one graph search and the solutions found so far.
 
-    ``found`` holds every solution, packed, while the search has found at
-    most ``BUCKET_SOLUTIONS``, and ``completion.expand`` tests narrow levels
-    against it.  ``solutions`` and the index hold every solution, in the
-    order found, but for those of the narrow levels since the last
-    ``sync``.  ``wide_level`` expands a level state of three arrays, the
-    walks' int32 label counts, their defects and their scan cuts
+    ``found`` holds every solution, packed, up to and including the level
+    that carries it past ``BUCKET_SOLUTIONS``, and ``completion.expand``
+    tests narrow levels against it; ``late`` holds those of the wide levels
+    after that one, unfiled.  The index holds every solution in the order
+    found but for those of the narrow levels since the last wide one, which
+    are the ``found.solutions`` past ``index.count``: a wide level indexes
+    each emission it files.  ``wide_level`` expands a level state of three
+    arrays, the walks' int32 label counts, their defects and their scan cuts
     (``scan_cuts``), with the bitset test, and ``to_rows`` unpacks walks
     into one, computing the cuts once.  The ndarray side (``weights``,
     ``label_arrays``, ``scan_table`` and ``index``) is built by
@@ -133,10 +136,8 @@ class _Search:
         self.stats = stats
         self.check = check
         self.found = PackedBuckets(w.packing)
-        self.solutions: list[Solution] = []
+        self.late: list[Solution] = []
         self.index: DominanceIndex | None = None
-        # How many of found.solutions are in solutions and the index.
-        self.synced = 0
 
     def build_arrays(self) -> None:
         """Build the ndarray side, its index empty."""
@@ -153,23 +154,16 @@ class _Search:
         # docstring), so every coordinate is at most max(max_a, max_b).
         self.index = DominanceIndex(len(w), max(w.max_a, w.max_b) + 1)
 
-    def sync(self) -> list[Solution]:
-        """Append the solutions of the narrow levels since the last sync to
-        ``solutions``, and return them."""
-        fresh = list(map(self.packing.unpack, self.found.solutions[self.synced :]))
-        self.synced += len(fresh)
-        self.solutions += fresh
-        return fresh
-
     def to_rows(self, walks: list[Walk]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The walks as a wide level: int32 label counts, defects and scan
-        cuts.  The index first takes the solutions ``sync`` adds."""
+        cuts.  The index first takes the found solutions it lacks."""
         import numpy as np
 
         if self.index is None:
             self.build_arrays()
-        if fresh := self.sync():
-            self.index.add(np.array(fresh, dtype=np.int32))
+        if fresh := self.found.solutions[self.index.count :]:
+            unpacked = list(map(self.packing.unpack, fresh))
+            self.index.add(np.array(unpacked, dtype=np.int32))
         packed, defects = zip(*walks)
         rows = np.array(list(map(self.packing.unpack, packed)), dtype=np.int32)
         return rows, np.array(defects, dtype=np.int32), self.scan_cuts(rows)
@@ -198,9 +192,9 @@ class _Search:
         walks makes every child.  A child made at position j has cut j on
         that side and its parent's cut on the other.  One dominance test
         over all children and one compaction follow, and the emissions are
-        indexed last, and filed in ``found`` while the search has found at
-        most ``BUCKET_SOLUTIONS``: none of them can bound a child of their
-        own level (module docstring).
+        indexed last, and filed in ``found`` if it held at most
+        ``BUCKET_SOLUTIONS`` before them, else put in ``late``: none of them
+        can bound a child of their own level (module docstring).
         """
         import numpy as np
 
@@ -231,12 +225,11 @@ class _Search:
         if len(solutions):
             self.index.add(solutions)
             stats.insert.inserted += len(solutions)
-            new = list(map(tuple, solutions.tolist()))
-            self.solutions += new
-            if len(self.solutions) <= BUCKET_SOLUTIONS:
-                for sol in map(self.packing.pack, new):
+            if len(self.found.solutions) <= BUCKET_SOLUTIONS:
+                for sol in map(self.packing.pack, solutions.tolist()):
                     self.found.add(sol)
-                self.synced = len(self.found.solutions)
+            else:
+                self.late += map(tuple, solutions.tolist())
         live = np.flatnonzero(~(is_solution | bounded))
         rows, defects = children.take(live, axis=0), child_defects.take(live)
         stats.pruned_dominated += len(children) - len(solutions) - len(rows)
@@ -264,7 +257,6 @@ class _Search:
 def graph_solve(
     problem: Equation | Sequence[int],
     *,
-    frontier_cap: int = DEFAULT_FRONTIER_CAP,
     stats: GraphStats | None = None,
     time_limit: float | None = None,
     check_invariants: bool = False,
@@ -275,12 +267,12 @@ def graph_solve(
     With ``check_invariants`` the search runs the same prunes and the audits
     of the module docstring; the scan rule, the equal-sum argument, the
     revisit argument and the bucket argument prove none of them can fire,
-    so by default the search does not pay for them.
+    so by default the search does not pay for them.  A wide level of more
+    than ``FRONTIER_CAP`` walks raises ``ResourceLimitError``.
     """
     return solve_normalized(
         problem,
         _solve,
-        frontier_cap,
         stats if stats is not None else GraphStats(),
         Deadline(time_limit),
         check_invariants,
@@ -289,31 +281,29 @@ def graph_solve(
 
 def _solve(
     w: WeightVector,
-    frontier_cap: int,
     stats: GraphStats,
     deadline: Deadline,
     check_invariants: bool,
 ) -> BasisList:
     search = _Search(w, stats, check_invariants)
-    narrow = min(NARROW_FRONTIER, frontier_cap)
+    found = search.found.solutions
     # One-sided seeding, as in the completion procedure.
     walks = initial_proposals(w)
     while walks := expand(
-        w, walks, search.found, stats, deadline, check_invariants, narrow,
+        w, walks, search.found, stats, deadline, check_invariants, NARROW_FRONTIER,
         BUCKET_SOLUTIONS,
     ):
         level = search.to_rows(walks)
         # Wide while the level is, and for good once the buckets are past
         # their cap.
         while (width := len(level[0])) and (
-            width > narrow or len(search.solutions) > BUCKET_SOLUTIONS
+            width > NARROW_FRONTIER or len(found) > BUCKET_SOLUTIONS
         ):
             deadline.check()
-            if width > frontier_cap:
+            if width > FRONTIER_CAP:
                 raise ResourceLimitError(
-                    f"graph frontier holds {width} walks, over the cap of {frontier_cap}"
+                    f"graph frontier holds {width} walks, over the cap of {FRONTIER_CAP}"
                 )
             level = search.wide_level(*level)
         walks = list(zip(map(w.packing.pack, level[0].tolist()), level[1].tolist()))
-    search.sync()
-    return sorted(search.solutions)
+    return sorted([*map(w.packing.unpack, found), *search.late])

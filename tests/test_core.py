@@ -1,6 +1,7 @@
 """Core types, dominance machinery, shared arithmetic, and the oracle."""
 
 import functools
+import inspect
 import itertools
 import math
 import random
@@ -726,6 +727,21 @@ class TestFrontDoor:
         with pytest.raises(TimeLimitError):
             self.CONFIGS[name](parse_equation("855 = 498 830 850 987 1021"), time_limit=limit)
         assert time.perf_counter() - start - limit <= max(0.5, 0.05 * limit)
+
+    # Each entry's keyword-only parameters: a limit is a module constant or
+    # time_limit, not a per-call knob.
+    KEYWORDS = {
+        "lex": {"stats", "time_limit"},
+        "completion": {"stats", "time_limit", "check_invariants"},
+        "graph": {"stats", "time_limit", "check_invariants"},
+        "slopes": {"stats", "time_limit"},
+    }
+
+    @pytest.mark.parametrize("name", SOLVERS)
+    def test_keywords_are_pinned(self, name):
+        params = inspect.signature(SOLVERS[name]).parameters.values()
+        keywords = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        assert keywords == self.KEYWORDS[name]
 
     @pytest.mark.parametrize("name", SOLVERS)
     def test_weights_at_the_limit_are_accepted(self, name):

@@ -274,13 +274,12 @@ class TestGraphSolve:
             eq = parse_equation(text)
             assert solve(eq) == graph_solve(eq, check_invariants=True)
 
-    def test_frontier_cap(self):
+    def test_frontier_cap(self, monkeypatch):
+        # Its levels go past NARROW_FRONTIER walks, so they go wide, where a
+        # level over the cap raises.
+        monkeypatch.setattr(graph, "FRONTIER_CAP", 4)
         with pytest.raises(ResourceLimitError):
-            graph_solve(Equation((104, 167), (165, 154, 148)), frontier_cap=4)
-        # Its widest level holds 31 walks, all expanded as tuples.
-        assert graph.NARROW_FRONTIER > 31
-        with pytest.raises(ResourceLimitError):
-            graph_solve(Equation((316,), (748, 951)), frontier_cap=30)
+            graph_solve(Equation((104, 167), (165, 154, 148)))
 
     def test_single_signed_weights(self):
         assert graph_solve((2, 3)) == []
@@ -307,6 +306,37 @@ def pinned_fields(stats):
         stats.max_frontier,
         stats.insert.inserted,
     )
+
+
+class TestSolutionStore:
+    @pytest.mark.parametrize("text", [text for text, _ in PINNED_COUNTERS])
+    def test_index_counts_found_and_late(self, monkeypatch, text):
+        # After every wide level the index holds each solution once, and
+        # late stays empty until found is past BUCKET_SOLUTIONS: the level
+        # that carries it past files all its emissions.  The oracle refuses
+        # the boxes of the larger equations; completion is their reference.
+        wide, late_paths = graph._Search.wide_level, set()
+
+        def checked_wide(self, *level):
+            level = wide(self, *level)
+            found, late = self.found.solutions, self.late
+            assert self.index.count == len(found) + len(late)
+            if late:
+                assert len(found) > graph.BUCKET_SOLUTIONS
+                late_paths.add(path)
+            return level
+
+        monkeypatch.setattr(graph._Search, "wide_level", checked_wide)
+        eq = parse_equation(text)
+        if core.oracle_box_size(eq) <= core.DEFAULT_ORACLE_CAP:
+            reference = oracle_basis(eq)
+        else:
+            reference = completion_solve(eq)
+        for path in level_paths(monkeypatch):
+            assert graph_solve(eq) == reference, path
+        # Every level of ("arrays", "bitset") is wide, so a wide level
+        # crosses the cap and later ones fill late.
+        assert ("arrays", "bitset") in late_paths
 
 
 class TestSearchCounters:
