@@ -12,7 +12,6 @@ from .core import (
     COEFFICIENT_LIMIT,
     DEFAULT_ORACLE_CAP,
     BasisList,
-    Bounds,
     CoefficientRangeError,
     DiobasisError,
     Equation,
@@ -20,9 +19,9 @@ from .core import (
     OracleBoxError,
     ResourceLimitError,
     Solution,
+    SolveStats,
     TimeLimitError,
     WeightVector,
-    bounds,
     build_weights,
     defect,
     dominates,

@@ -206,7 +206,7 @@ def measure(eq: Equation, runner: Runner, policy: TimingPolicy) -> TimingResult:
         if outcome.seconds > policy.early_stop_s:
             early = True
             break
-    if early or len(times) < policy.runs or policy.runs < 3:
+    if early or policy.runs < 3:
         aggregate = statistics.fmean(times)
     else:
         trimmed = sorted(times)[1:-1]

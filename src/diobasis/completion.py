@@ -47,16 +47,15 @@ written plainly, the reference the audit replays each level through.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .core import (
     BasisList,
     Deadline,
     Equation,
-    InsertStats,
     PackedBuckets,
     Solution,
+    SolveStats,
     WeightVector,
     insert_minimal,
     is_dominated,
@@ -66,18 +65,7 @@ from .core import (
 # A candidate vector, packed by its weights' ``packing``, and its defect.
 Walk = tuple[int, int]
 
-
-@dataclass
-class CompletionStats:
-    """Counters of one unit-step search, completion's or the graph
-    search's (``graph.GraphStats`` is this record)."""
-
-    levels: int = 0
-    walks_expanded: int = 0
-    children: int = 0
-    pruned_dominated: int = 0
-    max_frontier: int = 0
-    insert: InsertStats = field(default_factory=InsertStats)
+CompletionStats = SolveStats  # the record's old name
 
 
 def initial_proposals(w: WeightVector) -> list[Walk]:
@@ -131,7 +119,7 @@ def expand(
     w: WeightVector,
     walks: list[Walk],
     found: PackedBuckets,
-    stats: CompletionStats,
+    stats: SolveStats,
     deadline: Deadline,
     check: bool = False,
     width: float = math.inf,
@@ -246,12 +234,12 @@ def _audit(w: WeightVector, found: PackedBuckets):
 def completion_solve(
     problem: Equation | Sequence[int],
     *,
-    stats: CompletionStats | None = None,
+    stats: SolveStats | None = None,
     time_limit: float | None = None,
     check_invariants: bool = False,
 ) -> BasisList:
     """Basis of an equation or a signed weight sequence by the completion
-    procedure (normalized by ``core.solve_normalized``): ``expand`` run from
+    procedure (front door ``core.solve_normalized``): ``expand`` run from
     the seeds until no walk is left.
 
     With ``check_invariants`` the loop runs its audit (``expand``); the
@@ -259,18 +247,12 @@ def completion_solve(
     argument prove none of it can fire, so by default the search does not
     pay for it.
     """
-    return solve_normalized(
-        problem,
-        _solve,
-        stats if stats is not None else CompletionStats(),
-        Deadline(time_limit),
-        check_invariants,
-    )
+    return solve_normalized(problem, _solve, stats, time_limit, check_invariants)
 
 
 def _solve(
     w: WeightVector,
-    stats: CompletionStats,
+    stats: SolveStats,
     deadline: Deadline,
     check_invariants: bool,
 ) -> BasisList:

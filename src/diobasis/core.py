@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -69,10 +69,10 @@ class TimeLimitError(DiobasisError):
 class Deadline:
     """Cooperative wall-clock limit checked at safe points inside solvers.
 
-    Every solver entry point builds one from its ``time_limit``, so each
-    check site has one path.  ``Deadline(None)`` never expires, a limit of
-    zero or less expires at once, and a NaN limit, which no comparison
-    could ever expire, raises ``ValueError``.
+    ``solve_normalized`` builds one from each solve's ``time_limit``, so
+    each check site has one path.  ``Deadline(None)`` never expires, a
+    limit of zero or less expires at once, and a NaN limit, which no
+    comparison could ever expire, raises ``ValueError``.
     """
 
     __slots__ = ("expires_at",)
@@ -218,30 +218,9 @@ def packing(n: int, top: int) -> Packing:
     return Packing(n, top.bit_length())
 
 
-@dataclass(frozen=True)
-class Bounds:
-    """Per-coordinate and per-side-sum caps satisfied by every minimal solution.
-
-    Any lhs unknown of a minimal solution is at most ``huet_lhs`` and any rhs
-    unknown at most ``huet_rhs``; the stronger per-side sums are capped by the
-    ``lambert_*`` fields.  The sum caps imply the per-coordinate caps.
-    """
-
-    huet_lhs: int
-    huet_rhs: int
-    lambert_lhs_sum: int
-    lambert_rhs_sum: int
-
-
 def build_weights(eq: Equation) -> WeightVector:
     """Weight vector of an equation: lhs coefficients, then negated rhs."""
     return WeightVector(tuple(eq.lhs) + tuple(-b for b in eq.rhs))
-
-
-def bounds(eq: Equation) -> Bounds:
-    mb = max(eq.rhs)
-    ma = max(eq.lhs)
-    return Bounds(huet_lhs=mb, huet_rhs=ma, lambert_lhs_sum=mb, lambert_rhs_sum=ma)
 
 
 def defect(w: WeightVector, x: Sequence[int]) -> int:
@@ -274,6 +253,37 @@ class InsertStats:
     inserted: int = 0
     rejected: int = 0
     evicted: int = 0
+
+
+@dataclass
+class SolveStats:
+    """Counters of one solve, the one record every solver entry fills.
+    Each solver leaves the counters of the others at 0.
+
+    - lex: ``prefixes`` (walk nodes, leaves too), ``emissions`` and
+      ``insert``.
+    - completion and graph: ``levels``, ``walks_expanded``, ``children``,
+      ``pruned_dominated``, ``max_frontier`` (the widest level) and
+      ``insert.inserted``.
+    - slopes: ``prefixes``; ``residuals_direct``, the balanced prefixes
+      (v = 0); ``residuals_scan``, the residuals with v != 0, and
+      ``residual_steps``, the z values their ``solve3_general`` calls
+      visited; ``candidates``, the vectors handed to the final filter.
+      Below three unknowns slopes runs lex on a fresh record.
+    """
+
+    prefixes: int = 0
+    emissions: int = 0
+    levels: int = 0
+    walks_expanded: int = 0
+    children: int = 0
+    pruned_dominated: int = 0
+    max_frontier: int = 0
+    residuals_direct: int = 0
+    residuals_scan: int = 0
+    residual_steps: int = 0
+    candidates: int = 0
+    insert: InsertStats = field(default_factory=InsertStats)
 
 
 def is_dominated(basis: BasisList, vec: Solution) -> bool:
@@ -567,9 +577,13 @@ class PackedBuckets:
 def solve_normalized(
     problem: Equation | Sequence[int],
     search: Callable[..., BasisList],
+    stats: SolveStats | None,
+    time_limit: float | None,
     *args,
 ) -> BasisList:
-    """The one path from a problem to a solver: normalize, then ``search``.
+    """Every solver entry's front door: build the solve's deadline, which
+    starts before the weights are checked, and its record, ``stats`` or a
+    fresh ``SolveStats`` if None; normalize; then ``search``.
 
     ``problem`` is an :class:`Equation` or a raw signed weight sequence
     whose entries are ints of magnitude at most ``COEFFICIENT_LIMIT``, zeros
@@ -577,11 +591,14 @@ def solve_normalized(
     solutions unchanged but not the solvers' bounds.  A zero weight leaves
     its unknown free, so its unit vector is a basis member and the position
     drops out.  Weights of one sign have no nonzero solution.  What remains
-    goes to ``search(w, *args)`` as a zero-free :class:`WeightVector` with
-    both signs, and its sorted basis is returned as it is unless zeros were
-    split off, in which case the solutions are re-embedded and merged with
-    the unit members.
+    goes to ``search(w, stats, deadline, *args)`` as a zero-free
+    :class:`WeightVector` with both signs, and its sorted basis is returned
+    as it is unless zeros were split off, in which case the solutions are
+    re-embedded and merged with the unit members.
     """
+    deadline = Deadline(time_limit)
+    if stats is None:
+        stats = SolveStats()
     if isinstance(problem, Equation):
         weights = problem.lhs + tuple(-b for b in problem.rhs)
     else:
@@ -596,7 +613,7 @@ def solve_normalized(
     if g > 1:
         weights = tuple(wi // g for wi in weights)
     w = WeightVector(tuple(wi for wi in weights if wi))
-    basis = search(w, *args) if w.has_both_signs else []
+    basis = search(w, stats, deadline, *args) if w.has_both_signs else []
     if len(w) == len(weights):
         return basis
     n = len(weights)
@@ -609,8 +626,7 @@ def solve_normalized(
 
 def oracle_box_size(eq: Equation) -> int:
     """Number of candidate vectors in the per-coordinate search box."""
-    b = bounds(eq)
-    return (b.huet_lhs + 1) ** len(eq.lhs) * (b.huet_rhs + 1) ** len(eq.rhs)
+    return (max(eq.rhs) + 1) ** len(eq.lhs) * (max(eq.lhs) + 1) ** len(eq.rhs)
 
 
 def oracle_basis(eq: Equation, cap: int = DEFAULT_ORACLE_CAP) -> BasisList:
@@ -625,9 +641,8 @@ def oracle_basis(eq: Equation, cap: int = DEFAULT_ORACLE_CAP) -> BasisList:
     box = oracle_box_size(eq)
     if box > cap:
         raise OracleBoxError(box, cap)
-    b = bounds(eq)
-    lhs_by_sum = _side_sums(eq.lhs, b.huet_lhs)
-    rhs_by_sum = _side_sums(eq.rhs, b.huet_rhs)
+    lhs_by_sum = _side_sums(eq.lhs, max(eq.rhs))
+    rhs_by_sum = _side_sums(eq.rhs, max(eq.lhs))
     candidates: list[Solution] = []
     for s, left_vecs in lhs_by_sum.items():
         if s == 0:

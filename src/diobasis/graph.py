@@ -32,23 +32,23 @@ A level is expanded one of two ways, and each way has one prune.  While
 levels hold at most ``NARROW_FRONTIER`` walks and the search has found at
 most ``BUCKET_SOLUTIONS`` solutions, the search runs completion's unit-step
 loop, ``completion.expand``, which tests each child inline by its bucket
-key, with its audit and stats record (``GraphStats`` is ``CompletionStats``);
-it returns the first level past either bound.  Every other level is expanded in
-vectorized passes over an int32 array of walks, an array of their defects
-and, per walk and side, its scan cut: the scan position of the walk's first
-used label on that side, up to which the scan rule expands it.  A child's
-defect is its parent's plus the weight of its label, and its cuts are its
-parent's but on the side it grew, where its label is now the first used
-one, so a wide level never rescans its rows.  It tests its children with
-one batched call to the ``DominanceIndex``, built with the label arrays on
-the first wide level, so a search of narrow levels alone runs without
-numpy.  Each stretch of wide levels first indexes the solutions that the
-narrow levels since the last wide one found, in the order they were found.
-A wide level tests all its children, solutions included, before it
-indexes its emissions as the int32 rows they are, so one mask drops both
-the solutions and the bounded children: an emission bounding a child of
-its own level would share its coordinate sum and so equal it, which a
-child of nonzero defect cannot.
+key, with its audit, and fills the counters of ``core.SolveStats`` that
+completion fills; it returns the first level past either bound.  Every other
+level is expanded in vectorized passes over an int32 array of walks, an
+array of their defects and, per walk and side, its scan cut: the scan
+position of the walk's first used label on that side, up to which the scan
+rule expands it.  A child's defect is its parent's plus the weight of its
+label, and its cuts are its parent's but on the side it grew, where its
+label is now the first used one, so a wide level never rescans its rows.  It
+tests its children with one batched call to the ``DominanceIndex``, built
+with the label arrays on the first wide level, so a search of narrow levels
+alone runs without numpy.  Each stretch of wide levels first indexes the
+solutions that the narrow levels since the last wide one found, in the order
+they were found.  A wide level tests all its children, solutions included,
+before it indexes its emissions as the int32 rows they are, so one mask
+drops both the solutions and the bounded children: an emission bounding a
+child of its own level would share its coordinate sum and so equal it, which
+a child of nonzero defect cannot.
 
 The scan rule makes duplicate walks impossible, and emissions within a
 level share a coordinate sum, so they never dominate each other or an
@@ -72,10 +72,11 @@ from .core import (
     PackedBuckets,
     ResourceLimitError,
     Solution,
+    SolveStats,
     WeightVector,
     solve_normalized,
 )
-from .completion import CompletionStats, Walk, expand, initial_proposals
+from .completion import Walk, expand, initial_proposals
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,7 +111,7 @@ def render_adjacency(graph: dict[int, list[tuple[int, int]]]) -> str:
     )
 
 
-GraphStats = CompletionStats
+GraphStats = SolveStats  # the record's old name
 
 
 class _Search:
@@ -130,7 +131,7 @@ class _Search:
     ``build_arrays`` on the first wide level.
     """
 
-    def __init__(self, w: WeightVector, stats: GraphStats, check: bool):
+    def __init__(self, w: WeightVector, stats: SolveStats, check: bool):
         self.w = w
         self.packing = w.packing
         self.stats = stats
@@ -257,12 +258,12 @@ class _Search:
 def graph_solve(
     problem: Equation | Sequence[int],
     *,
-    stats: GraphStats | None = None,
+    stats: SolveStats | None = None,
     time_limit: float | None = None,
     check_invariants: bool = False,
 ) -> BasisList:
     """Basis of an equation or a signed weight sequence by the graph
-    algorithm (normalized by ``core.solve_normalized``).
+    algorithm (front door ``core.solve_normalized``).
 
     With ``check_invariants`` the search runs the same prunes and the audits
     of the module docstring; the scan rule, the equal-sum argument, the
@@ -270,18 +271,12 @@ def graph_solve(
     so by default the search does not pay for them.  A wide level of more
     than ``FRONTIER_CAP`` walks raises ``ResourceLimitError``.
     """
-    return solve_normalized(
-        problem,
-        _solve,
-        stats if stats is not None else GraphStats(),
-        Deadline(time_limit),
-        check_invariants,
-    )
+    return solve_normalized(problem, _solve, stats, time_limit, check_invariants)
 
 
 def _solve(
     w: WeightVector,
-    stats: GraphStats,
+    stats: SolveStats,
     deadline: Deadline,
     check_invariants: bool,
 ) -> BasisList:

@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     BasisList,
     Deadline,
     Equation,
-    InsertStats,
     PackedBuckets,
     Solution,
+    SolveStats,
     WeightVector,
     dominated_or_equal,
     insert_minimal,
@@ -59,44 +59,28 @@ ALL_VARIANTS: tuple[LexVariant, ...] = tuple(
 
 DEFAULT_VARIANT = LexVariant()
 
-
-@dataclass
-class LexStats:
-    """Search instrumentation: prefix nodes visited, emissions, and the
-    counts of ``insert_minimal``.
-
-    The walk tries values in ascending order and ``solve_two_var`` returns
-    x in ascending order, so emissions come out in strictly increasing lex
-    order: ``insert_minimal``'s precondition holds, and the basis is built
-    sorted.
-    """
-
-    prefixes: int = 0
-    emissions: int = 0
-    insert: InsertStats = field(default_factory=InsertStats)
+LexStats = SolveStats  # the record's old name
 
 
 def lex_solve(
     problem: Equation | Sequence[int],
     variant: LexVariant = DEFAULT_VARIANT,
     *,
-    stats: LexStats | None = None,
+    stats: SolveStats | None = None,
     time_limit: float | None = None,
 ) -> BasisList:
     """Basis of an equation or a signed weight sequence by bounded
-    lexicographic enumeration (normalized by ``core.solve_normalized``)."""
-    return solve_normalized(
-        problem,
-        _solve,
-        variant,
-        stats if stats is not None else LexStats(),
-        Deadline(time_limit),
-    )
+    lexicographic enumeration (front door ``core.solve_normalized``)."""
+    return solve_normalized(problem, _solve, stats, time_limit, variant)
 
 
 def _solve(
-    w: WeightVector, variant: LexVariant, stats: LexStats, deadline: Deadline
+    w: WeightVector, stats: SolveStats, deadline: Deadline, variant: LexVariant
 ) -> BasisList:
+    """The walk tries values in ascending order and ``solve_two_var``
+    returns x in ascending order, so emissions come out in strictly
+    increasing lex order: ``insert_minimal``'s precondition holds, and the
+    basis is built sorted."""
     basis: BasisList = []
 
     def emit(vector: Solution) -> None:
@@ -124,7 +108,7 @@ def prefix_walk(
     leaf: Callable[[int, int, int], None],
     assigned: list[int],
     *,
-    stats: Any,
+    stats: SolveStats,
     deadline: Deadline,
     bound: BoundKind = BoundKind.LAMBERT,
     floors: list[tuple[Solution, int]] | None = None,
@@ -138,8 +122,8 @@ def prefix_walk(
     per-side running-sum caps (Lambert) leave for the tail.  With the
     per-coordinate caps (Huet) the budgets stay at max_b and max_a:
     positive-weight positions are bounded by the largest opposing
-    coefficient and vice versa.  ``stats`` is any record with a
-    ``prefixes`` counter; every visited node counts, leaves too.
+    coefficient and vice versa.  ``stats.prefixes`` counts every visited
+    node, leaves too.
 
     The walk also prunes by the solutions it has met (Huet 1978).  A leaf
     whose prefix is nonzero and balanced (``d == 0``) is itself a solution

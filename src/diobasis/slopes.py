@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -36,11 +35,12 @@ from .core import (
     Deadline,
     Equation,
     Solution,
+    SolveStats,
     WeightVector,
     pareto_min,
     solve_normalized,
 )
-from .lex import DEFAULT_VARIANT, LexStats, prefix_walk
+from .lex import DEFAULT_VARIANT, prefix_walk
 from .lex import _solve as _lex_solve
 
 
@@ -105,7 +105,7 @@ def solve3_general(
     x_cap: int | None = None,
     yz_cap: int | None = None,
     deadline: Deadline = Deadline(None),
-    stats: SlopesStats | None = None,
+    stats: SolveStats | None = None,
 ) -> BasisList:
     """Minimal natural solutions of a*x = b*y + c*z + v, by descent.
 
@@ -221,44 +221,24 @@ def slopes3(a: int, b: int, c: int, deadline: Deadline = Deadline(None)) -> Basi
     return solve3_general(a, b, c, 0, deadline=deadline)
 
 
-@dataclass
-class SlopesStats:
-    """Counters of one slopes solve.
-
-    ``prefixes`` counts the walk's prefixes and ``candidates`` the vectors
-    handed to the final filter.  ``residuals_direct`` counts the balanced
-    prefixes (v = 0), of which only the all-zero one calls ``solve3_general``;
-    ``residuals_scan`` counts residuals with v != 0, each solved by
-    ``solve3_general``, and ``residual_steps`` the z values those solves
-    visited (scan steps plus descent landings).
-    """
-
-    prefixes: int = 0
-    residuals_direct: int = 0
-    residuals_scan: int = 0
-    candidates: int = 0
-    residual_steps: int = 0
+SlopesStats = SolveStats  # the record's old name
 
 
 def slopes_solve(
     problem: Equation | Sequence[int],
     *,
-    stats: SlopesStats | None = None,
+    stats: SolveStats | None = None,
     time_limit: float | None = None,
 ) -> BasisList:
     """Basis of an equation or a signed weight sequence: enumerate all but
-    three unknowns, solve the rest (normalized by ``core.solve_normalized``)."""
-    return solve_normalized(
-        problem,
-        _solve,
-        stats if stats is not None else SlopesStats(),
-        Deadline(time_limit),
-    )
+    three unknowns, solve the rest (front door ``core.solve_normalized``)."""
+    return solve_normalized(problem, _solve, stats, time_limit)
 
 
-def _solve(w: WeightVector, stats: SlopesStats, deadline: Deadline) -> BasisList:
+def _solve(w: WeightVector, stats: SolveStats, deadline: Deadline) -> BasisList:
     if len(w) < 3:
-        return _lex_solve(w, DEFAULT_VARIANT, LexStats(), deadline)
+        # Lex fills a fresh record: slopes' counters stay 0.
+        return _lex_solve(w, SolveStats(), deadline, DEFAULT_VARIANT)
     if len(w.negative_positions) < 2:
         # One unknown on the negative side: the defect-zero set is invariant
         # under negating all weights, which swaps the sides.

@@ -14,6 +14,7 @@ from diobasis.bench import (
     BenchReport,
     RunOutcome,
     SolverLaunchError,
+    TESTS_PER_CLASS,
     TimingPolicy,
     class_grid,
     fmt_points,
@@ -24,6 +25,7 @@ from diobasis.bench import (
     measure,
     parse_class_spec,
     render_reports,
+    run_benchmark,
     score_class,
 )
 from diobasis.core import Equation
@@ -364,3 +366,27 @@ class TestTimeoutPropagation:
         render_reports(report, tmp_path)
         timeouts = (tmp_path / "timeouts.txt").read_text()
         assert f"10:{result.timeouts_b}" in timeouts
+
+
+class TestSmallPools:
+    def test_duplicates_kept_are_counted_and_summed(self, tmp_path):
+        # Class 1,2,2 has 4 distinct equations and 1,2,3 has 9, so both
+        # keep the duplicates they draw.
+        classes = [BenchClass(1, 2, 2), BenchClass(1, 2, 3)]
+        report = run_benchmark(
+            classes,
+            seed=0,
+            policy=TimingPolicy(runs=1),
+            runner_a=lambda eq, timeout_s: RunOutcome(0.001),
+            runner_b=lambda eq, timeout_s: RunOutcome(0.002),
+        )
+        kept = []
+        for bc, result in zip(classes, report.classes):
+            tests, regenerated = generate_class(bc, seed=0)
+            assert regenerated == result.regenerated == 0
+            assert result.duplicates_kept == TESTS_PER_CLASS - len(set(tests))
+            kept.append(result.duplicates_kept)
+        assert kept[0] >= 6
+        render_reports(report, tmp_path)
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["duplicate_tests_kept_in_small_pools"] == sum(kept)

@@ -15,16 +15,15 @@ from hypothesis import strategies as st
 from diobasis import core
 from diobasis.core import (
     COEFFICIENT_LIMIT,
-    Bounds,
     CoefficientRangeError,
     Deadline,
     Equation,
     EquationFormatError,
     InsertStats,
     OracleBoxError,
+    SolveStats,
     TimeLimitError,
     WeightVector,
-    bounds,
     build_weights,
     defect,
     dominated_or_equal,
@@ -552,35 +551,23 @@ class TestDeadline:
 
 
 class TestBounds:
-    def test_single_unknown_sides(self):
-        b = bounds(Equation((1,), (2,)))
-        assert b == Bounds(huet_lhs=2, huet_rhs=1, lambert_lhs_sum=2, lambert_rhs_sum=1)
-
-    def test_read_off_maxima(self):
-        b = bounds(Equation((2, 3), (5,)))
-        assert b.lambert_lhs_sum == 5
-        assert b.lambert_rhs_sum == 3
-
-    def test_application_equation(self):
-        b = bounds(EQ6)
-        assert b.lambert_lhs_sum == 174
-        assert b.lambert_rhs_sum == 167
-
     def test_oracle_members_satisfy_both_bound_families(self):
+        # Each side of a minimal solution sums to at most the other side's
+        # largest coefficient (Lambert), so each coordinate is within it too
+        # (Huet).
         for eq in [
             Equation((2, 3), (4,)),
             Equation((5,), (3, 2)),
             Equation((3, 4), (2, 5)),
             Equation((1, 2, 3), (3, 1)),
         ]:
-            b = bounds(eq)
             l = len(eq.lhs)
             for sol in oracle_basis(eq):
                 lhs, rhs = sol[:l], sol[l:]
-                assert sum(lhs) <= b.lambert_lhs_sum
-                assert sum(rhs) <= b.lambert_rhs_sum
-                assert all(x <= b.huet_lhs for x in lhs)
-                assert all(y <= b.huet_rhs for y in rhs)
+                assert sum(lhs) <= max(eq.rhs)
+                assert sum(rhs) <= max(eq.lhs)
+                assert all(x <= max(eq.rhs) for x in lhs)
+                assert all(y <= max(eq.lhs) for y in rhs)
 
 
 def normalized(weights):
@@ -588,11 +575,11 @@ def normalized(weights):
     gets and solves them with the graph solver."""
     seen = []
 
-    def search(w):
+    def search(w, stats, deadline):
         seen.append(w.w)
         return graph_solve(w.w)
 
-    return solve_normalized(weights, search), seen
+    return solve_normalized(weights, search, None, None), seen
 
 
 class TestNormalizeZeroWeights:
@@ -607,7 +594,7 @@ class TestNormalizeZeroWeights:
         assert basis == [(0, 1, 3), (1, 0, 2)]
         # Without zeros the search's basis comes back as it is.
         found = [(1, 0, 2)]
-        assert solve_normalized((2, 3, -1), lambda w: found) is found
+        assert solve_normalized((2, 3, -1), lambda *_: found, None, None) is found
 
     def test_middle_zero(self):
         basis, seen = normalized((1, 0, -1))
@@ -648,12 +635,29 @@ class TestNormalizeZeroWeights:
 
 
 class TestFrontDoor:
-    STATS = {
-        "lex": LexStats,
-        "completion": CompletionStats,
-        "graph": GraphStats,
-        "slopes": SlopesStats,
+    def test_one_record(self):
+        assert LexStats is SlopesStats is CompletionStats is GraphStats is SolveStats
+
+    # The counters each solver fills; it leaves every other one at 0.
+    UNIT_STEP = {"levels", "walks_expanded", "children", "pruned_dominated", "max_frontier"}
+    OWNED = {
+        "lex": {"prefixes", "emissions", "insert"},
+        "completion": UNIT_STEP | {"insert"},
+        "graph": UNIT_STEP | {"insert"},
+        "slopes": {"prefixes", "residuals_direct", "residuals_scan", "residual_steps", "candidates"},
     }
+
+    @pytest.mark.parametrize("name", SOLVERS)
+    def test_each_solver_fills_its_own_counters(self, name):
+        stats, empty = SolveStats(), SolveStats()
+        SOLVERS[name](parse_equation("7 3 = 5 4 2"), stats=stats)
+        filled = {f for f in vars(empty) if getattr(stats, f) != getattr(empty, f)}
+        assert filled == self.OWNED[name]
+
+    def test_slopes_below_three_unknowns_leaves_the_record_at_zero(self):
+        stats = SolveStats()
+        assert slopes_solve((3, -2), stats=stats) == [(2, 3)]
+        assert stats == SolveStats()
 
     @pytest.mark.parametrize("name", SOLVERS)
     @pytest.mark.parametrize("text", ["5 = 3 2", "6 4 3 = 7", "3 2 = 4 1", "7 3 = 5 4 2"])
@@ -661,7 +665,7 @@ class TestFrontDoor:
         eq = parse_equation(text)
         for k in (2, 5):
             scaled = Equation(tuple(k * c for c in eq.lhs), tuple(k * c for c in eq.rhs))
-            s1, s2 = self.STATS[name](), self.STATS[name]()
+            s1, s2 = SolveStats(), SolveStats()
             assert SOLVERS[name](scaled, stats=s1) == SOLVERS[name](eq, stats=s2)
             assert s1 == s2
 
