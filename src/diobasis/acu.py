@@ -11,7 +11,7 @@ coordinate across the basis.  The unit element permits empty assignments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import BasisList, Equation, Solution
 

@@ -269,7 +269,7 @@ class SolveStats:
       (v = 0); ``residuals_scan``, the residuals with v != 0, and
       ``residual_steps``, the z values their ``solve3_general`` calls
       visited; ``candidates``, the vectors handed to the final filter.
-      Below three unknowns slopes runs lex on a fresh record.
+      Below three unknowns slopes fills none: one member, in closed form.
     """
 
     prefixes: int = 0

@@ -31,7 +31,6 @@ from .core import (
     Solution,
     SolveStats,
     WeightVector,
-    dominated_or_equal,
     insert_minimal,
     solve_normalized,
 )
@@ -105,21 +104,22 @@ def prefix_walk(
     w: WeightVector,
     order: Sequence[int],
     tail: int,
-    leaf: Callable[[int, int, int], None],
+    leaf: Callable[[int, int, int, int], None],
     assigned: list[int],
     *,
     stats: SolveStats,
     deadline: Deadline,
     bound: BoundKind = BoundKind.LAMBERT,
-    floors: list[tuple[Solution, int]] | None = None,
+    floors: list[tuple[int, int]] | None = None,
 ) -> None:
     """Budgeted backtracking over all but the last ``tail`` positions of
-    ``order``, calling ``leaf(d, pos_budget, neg_budget)`` per surviving
+    ``order``, calling ``leaf(d, pos_budget, neg_budget, p)`` per surviving
     prefix.
 
     The prefix values are written into ``assigned`` (by position) while the
-    leaf runs; ``d`` is the prefix defect and the budgets are what the
-    per-side running-sum caps (Lambert) leave for the tail.  With the
+    leaf runs, and ``p`` packs them; a leaf makes a tuple of them only for a
+    vector it emits.  ``d`` is the prefix defect and the budgets are what
+    the per-side running-sum caps (Lambert) leave for the tail.  With the
     per-coordinate caps (Huet) the budgets stay at max_b and max_a:
     positive-weight positions are bounded by the largest opposing
     coefficient and vice versa.  ``stats.prefixes`` counts every visited
@@ -150,20 +150,20 @@ def prefix_walk(
       which was tested with s in its bucket, and the loop broke there.
     So a blocker has exactly ``value`` at order[j].
 
-    The walk carries the prefix packed too, p == pack(assigned).  A value's
-    prefix c differs from p by that value's field at order[j], the bucket's
-    key, so an empty bucket costs one subtraction and one dict probe, with
-    no call.  No field of ``w.packing``, ``packing(n, max(max_a, max_b))``,
-    overflows: every value the walk assigns is at most its budget, max_b at
-    a positive position and max_a at a negative one under either bound, and
-    the tail positions stay 0 while the walk runs.
+    A value's prefix c differs from p by that value's field at order[j], the
+    bucket's key, so an empty bucket costs one subtraction and one dict
+    probe, with no call.  No field of ``w.packing``,
+    ``packing(n, max(max_a, max_b))``, overflows, so the guard test
+    (``Packing``) on c is exact: every value the walk assigns is at most its
+    budget, max_b at a positive position and max_a at a negative one under
+    either bound, and the tail positions stay 0 while the walk runs.
 
     Slopes' tail is x, of weight a > 0, followed by negative positions.
     It passes ``floors``, a list its leaf appends (q, a*xs) to when
-    (q, xs, 0, ..., 0) is one of its candidates, q being the leaf's prefix
-    (nonzero, with defect -a*xs < 0).  Where order[j] and every later
-    enumerated position are negative, the value loop breaks once dv < 0
-    and some floor has q <= prefix and a*xs <= -dv:
+    (q, xs, 0, ..., 0) is one of its candidates, q being the leaf's packed
+    prefix p (nonzero, with defect -a*xs < 0).  Where order[j] and every
+    later enumerated position are negative, the value loop breaks once
+    dv < 0 and some floor has a*xs <= -dv and q <= prefix, tested on c:
     - Every extension of the prefix lowers the defect to some d <= dv, so
       a solution below it has a*x = -d + (the negative tail positions'
       terms, each >= 0) >= -dv >= a*xs, hence x >= xs, and lies above
@@ -208,6 +208,7 @@ def prefix_walk(
             floor_from -= 1
 
     units = w.packing.units
+    guards = w.packing.guards
     blockers = PackedBuckets(w.packing)
     buckets = blockers.buckets
 
@@ -216,7 +217,7 @@ def prefix_walk(
         if not stats.prefixes % 1024:
             deadline.check()
         if j == stop:
-            leaf(d, pos_budget, neg_budget)
+            leaf(d, pos_budget, neg_budget, p)
             if d == 0 and p:
                 blockers.add(p)
             return
@@ -250,7 +251,8 @@ def prefix_walk(
             if c - p in buckets and blockers.bounds(c, pos):
                 break
             if floored and dv < 0 and any(
-                need <= -dv and dominated_or_equal(q, assigned) for q, need in floors
+                need <= -dv and ((c | guards) - q) & guards == guards
+                for q, need in floors
             ):
                 break
             if dv + lo > 0 or dv + hi < 0:
@@ -268,27 +270,26 @@ def tail_leaf(
     variant: LexVariant,
     assigned: list[int],
     emit: Callable[[Solution], None],
-) -> Callable[[int, int, int], None]:
-    """The lex walk's leaf: ``leaf(d, pos_budget, neg_budget)`` emits every
-    completion of the prefix in ``assigned`` over the last one or two
-    positions.
+) -> Callable[[int, int, int, int], None]:
+    """The lex walk's leaf: ``leaf(d, pos_budget, neg_budget, p)`` emits
+    every completion of the prefix in ``assigned``, packed as ``p``, over
+    the last one or two positions.
 
     One position is forced: the quotient of the residual by its weight,
     accepted only when the division is exact, nonnegative and within the
     budget.  Two positions form a bounded two-variable linear equation,
     solved by ``solve_two_var``'s progression.  The all-zero vector is
-    dropped, looking at the prefix only when the tail's own part is zero.
+    dropped: a part is kept when it or ``p`` is nonzero.
     """
     weights = w.w
     lambert = variant.bound is BoundKind.LAMBERT
     one = variant.tail is TailKind.LAST_ONE
     t = len(weights) - (1 if one else 2)
     w0, w1 = weights[t], weights[-1]
-    zero = (0,) * (len(weights) - t)
     # Lambert caps a same-sign pair by the shared budget as well.
     sum_capped = lambert and (w0 > 0) == (w1 > 0)
 
-    def leaf(d: int, pos_budget: int, neg_budget: int) -> None:
+    def leaf(d: int, pos_budget: int, neg_budget: int, p: int) -> None:
         if one:
             q, r = divmod(-d, w0)
             if r or q < 0 or q > (pos_budget if w0 > 0 else neg_budget):
@@ -298,10 +299,10 @@ def tail_leaf(
             cap0 = pos_budget if w0 > 0 else neg_budget
             cap1 = pos_budget if w1 > 0 else neg_budget
             parts = solve_two_var(
-                w0, w1, -d, cap0, cap1, sum_cap=cap0 if sum_capped else None
+                w0, w1, -d, cap0, cap1, sum_cap=cap0 if sum_capped else math.inf
             )
         for part in parts:
-            if part != zero or any(assigned):
+            if p or any(part):
                 emit(tuple(assigned[:t]) + part)
 
     return leaf
@@ -325,7 +326,7 @@ def tail_solve(
         neg_budget -= sum(x for x, wi in zip(prefix, w.w) if wi < 0)
     out: list[Solution] = []
     tail_leaf(w, variant, list(prefix) + [0] * (n - t), out.append)(
-        d, pos_budget, neg_budget
+        d, pos_budget, neg_budget, w.packing.pack(prefix)
     )
     return out
 
@@ -337,7 +338,7 @@ def solve_two_var(
     x_cap: int,
     y_cap: int,
     *,
-    sum_cap: int | None = None,
+    sum_cap: float = math.inf,
 ) -> list[tuple[int, int]]:
     """Natural solutions of s*x + t*y = c with x <= x_cap, y <= y_cap.
 
@@ -375,7 +376,7 @@ def solve_two_var(
     out = []
     while x <= x_hi:
         y = (c - s * x) // t
-        if sum_cap is None or x + y <= sum_cap:
+        if x + y <= sum_cap:
             out.append((x, y))
         x += m
     return out

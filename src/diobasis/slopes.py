@@ -1,15 +1,16 @@
 """Slopes algorithm: direct minimal solutions of a*x = b*y + c*z, plus the
 all-but-three enumeration wrapper for wider equations.  The wrapper
-enumerates with the lex solver's budgeted walk (``lex.prefix_walk``), with
-x, y and z as its tail.  Each leaf makes one ``solve3_general`` call within
-its per-side budgets, except at a nonzero prefix that balances: with its
-tail all-zero that prefix bounds every solution extending it, so it is the
-leaf's one candidate.  The walk prunes by the solutions found so far whose
-tail is (x, 0, 0): a balanced prefix (x = 0) bounds every prefix above it,
-and a leaf q whose residual is a*x alone, with x within the budget, is a
-floor.  Once only negative positions are left to enumerate, a prefix above
-q whose deficit is at least a*x can only reach solutions above
-(q, x, 0, 0), so the walk breaks its loop there (Huet, IPL 1978).
+enumerates with lex's budgeted walk (``lex.prefix_walk``, all it takes
+from lex), with x, y and z as its tail.  Each leaf makes one
+``solve3_general`` call within its per-side budgets, except at a nonzero
+prefix that balances: with its tail all-zero that prefix bounds every
+solution extending it, so it is the leaf's one candidate.  The walk prunes
+by the solutions found so far whose tail is (x, 0, 0): a balanced prefix
+(x = 0) bounds every prefix above it, and a leaf q whose residual is a*x
+alone, with x within the budget, is a floor, filed packed.  Once only
+negative positions are left to enumerate, a prefix above q whose deficit
+is at least a*x can only reach solutions above (q, x, 0, 0), so the walk
+breaks its loop there (Huet, IPL 1978).  Two unknowns need no walk.
 
 ``solve3_general`` solves a*x = b*y + c*z + v, and ``slopes3`` is its
 v = 0 case.  It walks the staircase of minimal solutions (Filgueiras &
@@ -40,8 +41,7 @@ from .core import (
     pareto_min,
     solve_normalized,
 )
-from .lex import DEFAULT_VARIANT, prefix_walk
-from .lex import _solve as _lex_solve
+from .lex import prefix_walk
 
 
 def _record_blocks(m: int, d: int) -> tuple[tuple[int, int, int, int, int], ...]:
@@ -102,8 +102,8 @@ def solve3_general(
     c: int,
     v: int,
     *,
-    x_cap: int | None = None,
-    yz_cap: int | None = None,
+    x_cap: float = math.inf,
+    yz_cap: float = math.inf,
     deadline: Deadline = Deadline(None),
     stats: SolveStats | None = None,
 ) -> BasisList:
@@ -141,9 +141,9 @@ def solve3_general(
     0) takes y = step, which skips the all-zero vector; that case is
     ``slopes3``.
 
-    Optional caps restrict x and y+z, e.g. to the per-side budgets of an
-    enclosing equation.  A triple that fails a cap still counts as a
-    record: each later triple it would have dominated has a larger z and
+    The caps, infinite by default, restrict x and y+z, e.g. to the per-side
+    budgets of an enclosing equation.  A triple that fails a cap still counts
+    as a record: each later triple it would have dominated has a larger z and
     no smaller y, so a larger x and y+z, and fails the same cap.  So the
     records within the caps are the minimal solutions within the caps.
     The deadline is checked every 4096 z visited; ``stats.residual_steps``
@@ -155,9 +155,7 @@ def solve3_general(
     staircase: BasisList = []
     if v % h:
         return staircase  # no z is solvable
-    z_top = period + (-(v // c) if v < 0 else 0)
-    if yz_cap is not None:
-        z_top = min(z_top, yz_cap)
+    z_top = min(period + (-(v // c) if v < 0 else 0), yz_cap)
     z = (-v // h) % t * c_inv % t
     rhs = -v - c * z
     y = rhs // g % step * inv % step
@@ -174,10 +172,9 @@ def solve3_general(
             lifted += (y_floor - y + step - 1) // step * step
         if lifted < y_min:
             y_min = lifted
-            if yz_cap is None or lifted + z <= yz_cap:
-                x = (b * lifted + c * z + v) // a
-                if x_cap is None or x <= x_cap:
-                    emit((x, lifted, z))
+            x = (b * lifted + c * z + v) // a
+            if lifted + z <= yz_cap and x <= x_cap:
+                emit((x, lifted, z))
         y -= d
         if y < 0:
             y += step
@@ -192,9 +189,9 @@ def solve3_general(
         i = 0
         last, r0, k0, dr, dk = blocks[0]
         while True:
-            if y < y_min and (yz_cap is None or y + z <= yz_cap):
+            if y < y_min and y + z <= yz_cap:
                 x = (b * y + c * z + v) // a
-                if x_cap is None or x <= x_cap:
+                if x <= x_cap:
                     emit((x, y, z))
             if y < d_min:
                 break
@@ -215,10 +212,10 @@ def solve3_general(
     return staircase
 
 
-def slopes3(a: int, b: int, c: int, deadline: Deadline = Deadline(None)) -> BasisList:
+def slopes3(a: int, b: int, c: int) -> BasisList:
     """Minimal natural solutions of a*x = b*y + c*z, sorted: the residual
     descent ``solve3_general`` at v = 0, which skips the all-zero vector."""
-    return solve3_general(a, b, c, 0, deadline=deadline)
+    return solve3_general(a, b, c, 0)
 
 
 SlopesStats = SolveStats  # the record's old name
@@ -237,8 +234,8 @@ def slopes_solve(
 
 def _solve(w: WeightVector, stats: SolveStats, deadline: Deadline) -> BasisList:
     if len(w) < 3:
-        # Lex fills a fresh record: slopes' counters stay 0.
-        return _lex_solve(w, SolveStats(), deadline, DEFAULT_VARIANT)
+        # Two coprime weights of opposite signs: one member, no counter.
+        return [(abs(w.w[1]), abs(w.w[0]))]
     if len(w.negative_positions) < 2:
         # One unknown on the negative side: the defect-zero set is invariant
         # under negating all weights, which swaps the sides.
@@ -256,19 +253,19 @@ def _solve(w: WeightVector, stats: SolveStats, deadline: Deadline) -> BasisList:
     order = [i for i in range(n) if i not in xyz] + xyz
 
     candidates: list[Solution] = []
-    floors: list[tuple[Solution, int]] = []
+    floors: list[tuple[int, int]] = []
     assigned = [0] * n
 
-    def solve_tail(d: int, pos_budget: int, neg_budget: int) -> None:
+    def solve_tail(d: int, pos_budget: int, neg_budget: int, p: int) -> None:
         deadline.check()
         if d:
             stats.residuals_scan += 1
             if d < 0 and not d % a and -d // a <= pos_budget:
                 # The residual's staircase is (-d/a, 0, 0) alone, a floor.
-                floors.append((tuple(assigned), -d))
+                floors.append((p, -d))
         else:
             stats.residuals_direct += 1
-            if any(assigned):
+            if p:
                 # The prefix balances on its own: with the tail all-zero it
                 # bounds every solution that extends it.
                 candidates.append(tuple(assigned))

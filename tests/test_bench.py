@@ -1,7 +1,6 @@
 """Harness: grid, corpus generation, timing policy, scoring, reports."""
 
 import json
-import os
 import stat
 
 import pytest

@@ -658,6 +658,12 @@ class TestFrontDoor:
         stats = SolveStats()
         assert slopes_solve((3, -2), stats=stats) == [(2, 3)]
         assert stats == SolveStats()
+        # Two unknowns are solved in closed form, also from raw weights
+        # that share a factor or hold zeros.
+        for problem in [(6, -4), (-4, 6), (0, 6, -4), Equation((4,), (6,))]:
+            stats = SolveStats()
+            assert slopes_solve(problem, stats=stats) == graph_solve(problem), problem
+            assert stats == SolveStats()
 
     @pytest.mark.parametrize("name", SOLVERS)
     @pytest.mark.parametrize("text", ["5 = 3 2", "6 4 3 = 7", "3 2 = 4 1", "7 3 = 5 4 2"])

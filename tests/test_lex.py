@@ -1,5 +1,6 @@
 """Lexicographic enumeration: variants, tail solvers, search invariants."""
 
+import math
 import random
 
 import pytest
@@ -237,13 +238,21 @@ class TestWalkPrune:
     def test_blockers_fit_the_packing(self, sides):
         # Every blocker the walk files or tests is packed by its weights'
         # packing with no guard bit set, and every filed one is a balanced
-        # nonzero prefix, zero on the tail, within the Huet caps.
+        # nonzero prefix, zero on the tail, within the Huet caps.  Every
+        # leaf gets the prefix packed the same way, with no guard bit set.
         eq = Equation(tuple(sides[0]), tuple(sides[1]))
-        walks = []  # per walk: weights, tail positions, filed, tested
+        walks = []  # per walk: weights, tail positions, filed, tested, leaves
 
-        def recording_walk(w, order, tail, *args, **kwargs):
-            walks.append((w, order[len(order) - tail :], [], []))
-            prefix_walk(w, order, tail, *args, **kwargs)
+        def recording_walk(w, order, tail, leaf, assigned, **kwargs):
+            leaves = []
+            walks.append((w, order[len(order) - tail :], [], [], leaves))
+
+            def checked_leaf(d, pos_budget, neg_budget, p):
+                assert p == w.packing.pack(assigned), (eq.text(), assigned)
+                leaves.append(p)
+                leaf(d, pos_budget, neg_budget, p)
+
+            prefix_walk(w, order, tail, checked_leaf, assigned, **kwargs)
 
         class RecordingBlockers(PackedBuckets):
             def __init__(self, packing):
@@ -266,10 +275,12 @@ class TestWalkPrune:
             runs = walk_runs(eq)
         want = oracle_basis(eq)
         assert all(basis == want for _, basis in runs)
-        assert len(walks) == len(runs)
-        for w, tail, filed, tested in walks:
+        # Every lex variant walks; slopes does from three unknowns on.
+        assert len(walks) == len(runs) - (eq.n < 3)
+        for w, tail, filed, tested, leaves in walks:
             packing = w.packing
-            assert not any(p & packing.guards for p in filed + tested)
+            assert leaves
+            assert not any(p & packing.guards for p in filed + tested + leaves)
             for p in filed:
                 x = packing.unpack(p)
                 assert any(x) and defect(w, x) == 0, (eq.text(), x)
@@ -324,6 +335,10 @@ class TestTailSolveTwo:
     def test_sum_cap(self):
         assert solve_two_var(1, 1, 4, 4, 4) == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
         assert solve_two_var(1, 1, 4, 4, 4, sum_cap=3) == []
+        # The default cap is infinite and never binds.
+        assert solve_two_var(1, 1, 4, 4, 4, sum_cap=math.inf) == solve_two_var(
+            1, 1, 4, 4, 4
+        )
 
     def test_equation_level_completions(self):
         # Prefix x=1 of 5x = 3y + 2z leaves 3y + 2z = 5, whose only natural

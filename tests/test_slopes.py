@@ -1,5 +1,6 @@
 """Slopes three-unknown solver, the residual descent, and the wrapper."""
 
+import inspect
 import math
 import random
 import time
@@ -40,13 +41,11 @@ def brute3(a, b, c, v, lim):
     return pareto_min(sols)
 
 
-def scan3_reference(a, b, c, v, x_cap=None, yz_cap=None):
+def scan3_reference(a, b, c, v, x_cap=math.inf, yz_cap=math.inf):
     """Congruence scan over every z of a period, then a Pareto filter: the
     reference that ``solve3_general``'s descent must reproduce."""
     period = a // math.gcd(a, c)
-    z_top = period + (-(v // c) if v < 0 else 0)
-    if yz_cap is not None:
-        z_top = min(z_top, yz_cap)
+    z_top = min(period + (-(v // c) if v < 0 else 0), yz_cap)
 
     g = math.gcd(b, a)
     step = a // g
@@ -65,11 +64,11 @@ def scan3_reference(a, b, c, v, x_cap=None, yz_cap=None):
                 y += -((y - y_floor) // step) * step
         if v == 0 and z == 0 and y == 0:
             y += step
-        if yz_cap is not None and y + z > yz_cap:
+        if y + z > yz_cap:
             continue
         x, r = divmod(b * y + c * z + v, a)
         assert r == 0
-        if x_cap is not None and x > x_cap:
+        if x > x_cap:
             continue
         candidates.append((x, y, z))
     return pareto_min(candidates)
@@ -78,6 +77,9 @@ def scan3_reference(a, b, c, v, x_cap=None, yz_cap=None):
 class TestSlopes3:
     def test_five_three_two(self):
         assert slopes3(5, 3, 2) == [(1, 1, 1), (2, 0, 5), (3, 5, 0)]
+
+    def test_takes_the_coefficients_only(self):
+        assert list(inspect.signature(slopes3).parameters) == ["a", "b", "c"]
 
     def test_all_ones(self):
         # (2, 1, 1) solves it too but is bounded by both.
@@ -216,16 +218,16 @@ class TestSolve3General:
         st.integers(1, 600),
         st.integers(1, 600),
         st.integers(-5000, 600),
-        st.none() | st.integers(0, 1200),
-        st.none() | st.integers(0, 6000),
+        st.just(math.inf) | st.integers(0, 1200),
+        st.just(math.inf) | st.integers(0, 6000),
     )
-    @example(5, 3, 2, 0, None, None)  # v = 0 skips the all-zero vector
-    @example(6, 4, 3, -7, None, None)  # only every t = 2nd z is solvable
-    @example(6, 4, 2, 1, None, None)  # no z is solvable: []
+    @example(5, 3, 2, 0, math.inf, math.inf)  # v = 0 skips the all-zero vector
+    @example(6, 4, 3, -7, math.inf, math.inf)  # only every t = 2nd z is solvable
+    @example(6, 4, 2, 1, math.inf, math.inf)  # no z is solvable: []
     # After the lift, a record over yz_cap (2, 5) and over x_cap (1, 5)
     # still bounds later triples; (0, 6) is kept after each.
-    @example(9, 7, 5, -21, None, 6)
-    @example(3, 10, 7, -30, 4, None)
+    @example(9, 7, 5, -21, math.inf, 6)
+    @example(3, 10, 7, -30, 4, math.inf)
     def test_staircase_matches_filtered_scan(self, a, b, c, v, x_cap, yz_cap):
         got = solve3_general(a, b, c, v, x_cap=x_cap, yz_cap=yz_cap)
         assert got == scan3_reference(a, b, c, v, x_cap=x_cap, yz_cap=yz_cap)
